@@ -125,6 +125,7 @@ def cmd_benchmark(args) -> int:
         reward_cfg=cfg.reward,
         pursuit=cfg.baseline,
         trace_dir=os.path.join(outdir, "traces"),
+        pid=cfg.pid,
     )
     write_report(outdir, report)
     with open(os.path.join(outdir, "report.txt")) as f:

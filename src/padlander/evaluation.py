@@ -147,13 +147,19 @@ def run_benchmark(
     reward_cfg: Optional[RewardConfig] = None,
     pursuit: Optional[PursuitConfig] = None,
     trace_dir: Optional[str] = None,
+    pid: Optional[PidController] = None,
 ) -> BenchmarkReport:
-    """Seeded paired trials for the requested controllers and scenarios."""
+    """Seeded paired trials for the requested controllers and scenarios.
+
+    pid sets the baseline's gains (default PidController()); its state is
+    reset at the start of every baseline episode.
+    """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
     if Controller.AGENT in controllers and learner is None:
         raise ValueError("agent benchmark requires a learner/checkpoint")
     env_cfg = env_cfg or EnvConfig()
+    pid = pid or PidController()
     report = BenchmarkReport()
     seed_rng = substream(seed, "benchmark-trials")
     # One seed per (scenario, trial index), shared across controllers.
@@ -175,7 +181,7 @@ def run_benchmark(
                     if controller is Controller.AGENT:
                         outcomes = _run_agent_episode(env, learner, trial_seed)
                     else:
-                        ep = run_baseline_episode(env, trial_seed, pursuit, PidController())
+                        ep = run_baseline_episode(env, trial_seed, pursuit, pid)
                         outcomes, est_rows = ep.outcomes, ep.estimator_rows
                     trial = _trial_from_outcomes(kind, controller, trial_seed, outcomes, wind)
                 except Exception as e:  # controller crash: record failure, continue

@@ -7,8 +7,18 @@ respect to the input (needed to push critic gradients into the actor).
 
 All parameters of a network live in one contiguous flat buffer; the
 per-layer weight matrices and bias vectors are views into it. That keeps
-the optimizer and the target-network Polyak update single fused array
-operations instead of a dozen small ones.
+the optimizer and the target-network Polyak update single flat passes
+instead of a dozen small ones. Those passes run CHUNK elements at a time,
+so every stream of one chunk stays in L2 cache between the elementwise
+operations.
+
+Buffer ownership: a net allocates its activation, delta and ReLU-mask
+buffers once per batch size, and one flat gradient buffer. forward()
+returns a fresh array. The flat gradient buffer returned by backward() is
+overwritten by the next backward() on the same net; step the optimizer
+with it (or copy it) before then. Every float operation runs in the same
+order as the plain `h @ w + b` formulation, so results are bit-identical to
+it; only the allocations are gone.
 
 Parameters default to float32; float64 is available for gradient
 verification against finite differences.
@@ -17,6 +27,16 @@ verification against finite differences.
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+# Elements per chunk of the Adam and Polyak passes: 32Ki float32 is 128 KiB
+# per stream, so Adam's five streams (params, grads, m, v, scratch) fit in a
+# 4 MiB L2 with room to spare.
+CHUNK = 1 << 15
+
+
+def _chunks(n: int):
+    for lo in range(0, n, CHUNK):
+        yield slice(lo, min(lo + CHUNK, n))
 
 
 class Mlp:
@@ -44,7 +64,14 @@ class Mlp:
             # He-style scaling for the rectifier stack.
             fan_in = w.shape[0]
             w[:] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=w.shape)
+        self._reset_buffers()
+
+    def _reset_buffers(self) -> None:
         self._cache = None
+        self._acts = {}  # batch size -> [input, layer outputs...]
+        self._deltas = {}  # batch size -> (per-layer deltas, hidden ReLU masks)
+        self._grads = self._grad_views = None
+        self._scratch = None  # one Polyak chunk
 
     def _views(self, flat: np.ndarray):
         weights, biases, off = [], [], 0
@@ -59,14 +86,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def parameters(self) -> List[np.ndarray]:
-        """Per-tensor views in declaration order: w0, b0, w1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def unflatten(self, flat: np.ndarray) -> List[np.ndarray]:
         """View a flat gradient buffer with the parameter layout."""
         w, b = self._views(flat)
@@ -77,47 +96,76 @@ class Mlp:
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batched forward pass; x is (batch, in) or (in,)."""
+        """Batched forward pass; x is (batch, in) or (in,). Returns a fresh array."""
         squeeze = x.ndim == 1
         h = np.atleast_2d(np.asarray(x, dtype=self.dtype))
         if h.shape[1] != self.layer_dims[0]:
             raise ValueError(f"input dim {h.shape[1]} != expected {self.layer_dims[0]}")
-        activations = [h]
+        acts = self._acts.get(h.shape[0])
+        if acts is None:
+            acts = [None] + [np.empty((h.shape[0], d), self.dtype) for d in self.layer_dims[1:]]
+            self._acts[h.shape[0]] = acts
+        acts[0] = h
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+            z = acts[i + 1]
+            np.matmul(h, w, out=z)
+            z += b
             if i < self.n_layers - 1:
-                h = np.maximum(z, 0.0)
+                np.maximum(z, 0.0, out=z)
             elif self.output_activation == "tanh":
-                h = np.tanh(z)
-            else:
-                h = z
-            activations.append(h)
-        self._cache = activations
-        return h[0] if squeeze else h
+                np.tanh(z, out=z)
+            h = z
+        self._cache = acts
+        return h[0].copy() if squeeze else h.copy()
 
-    def backward(self, upstream: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def backward(
+        self, upstream: np.ndarray, need_input_grad: bool = True
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
         Requires a preceding forward() call; returns (flat_grads, d_input)
         where flat_grads shares the layout of self.flat (see unflatten()).
+        flat_grads is a buffer this net owns: the next backward() on the same
+        net overwrites it. d_input is a fresh array, or None when
+        need_input_grad is false (that skips the layer-0 input product).
         """
         if self._cache is None:
             raise RuntimeError("backward() without a cached forward() pass")
         acts = self._cache
-        delta = np.atleast_2d(np.asarray(upstream, dtype=self.dtype))
-        if delta.shape != acts[-1].shape:
-            raise ValueError(f"upstream shape {delta.shape} != output shape {acts[-1].shape}")
+        b = acts[0].shape[0]
+        up = np.atleast_2d(np.asarray(upstream, dtype=self.dtype))
+        if up.shape != acts[-1].shape:
+            raise ValueError(f"upstream shape {up.shape} != output shape {acts[-1].shape}")
+        bufs = self._deltas.get(b)
+        if bufs is None:
+            dims = self.layer_dims[1:]
+            bufs = self._deltas[b] = (
+                [np.empty((b, d), self.dtype) for d in dims],
+                [np.empty((b, d), bool) for d in dims[:-1]],
+            )
+        deltas, masks = bufs
+        delta = up
         if self.output_activation == "tanh":
-            delta = delta * (1.0 - acts[-1] ** 2)
-        flat_grads = np.empty_like(self.flat)
-        gw, gb = self._views(flat_grads)
+            # delta = upstream * (1 - out**2), one rounding per operation
+            delta = deltas[-1]
+            np.square(acts[-1], out=delta)
+            np.subtract(1.0, delta, out=delta)
+            np.multiply(up, delta, out=delta)
+        if self._grads is None:
+            self._grads = np.empty_like(self.flat)
+            self._grad_views = self._views(self._grads)
+        gw, gb = self._grad_views
         for i in range(self.n_layers - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=gw[i])
             np.sum(delta, axis=0, out=gb[i])
-            delta = delta @ self.weights[i].T
             if i > 0:
-                delta = delta * (acts[i] > 0)
-        return flat_grads, delta
+                nxt, mask = deltas[i - 1], masks[i - 1]
+                np.matmul(delta, self.weights[i].T, out=nxt)
+                np.greater(acts[i], 0, out=mask)
+                np.multiply(nxt, mask, out=nxt)
+                delta = nxt
+        d_input = delta @ self.weights[0].T if need_input_grad else None
+        return self._grads, d_input
 
     def copy(self) -> "Mlp":
         clone = Mlp.__new__(Mlp)
@@ -127,7 +175,7 @@ class Mlp:
         clone.n_params = self.n_params
         clone.flat = self.flat.copy()
         clone.weights, clone.biases = clone._views(clone.flat)
-        clone._cache = None
+        clone._reset_buffers()
         return clone
 
     def load_flat(self, flat: np.ndarray) -> None:
@@ -137,8 +185,15 @@ class Mlp:
 
     def polyak_from(self, online: "Mlp", tau: float) -> None:
         """target <- tau * online + (1 - tau) * target, in place."""
-        self.flat *= self.dtype(1.0 - tau)
-        self.flat += self.dtype(tau) * online.flat
+        keep, take = self.dtype(1.0 - tau), self.dtype(tau)
+        if self._scratch is None:
+            self._scratch = np.empty(min(CHUNK, self.n_params), self.dtype)
+        for c in _chunks(self.n_params):
+            target = self.flat[c]
+            s = self._scratch[: c.stop - c.start]
+            target *= keep
+            np.multiply(online.flat[c], take, out=s)
+            target += s
 
     def all_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.flat)))
@@ -156,7 +211,7 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(flat_params)
         self.v = np.zeros_like(flat_params)
-        self._scratch = np.empty_like(flat_params)
+        self._scratch = np.empty(min(CHUNK, flat_params.size), flat_params.dtype)
 
     def step(self, flat_grads: np.ndarray) -> None:
         if flat_grads.shape != self.params.shape:
@@ -166,17 +221,22 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        s = self._scratch
-        self.m *= dt(self.beta1)
-        np.multiply(g, dt(1.0 - self.beta1), out=s)
-        self.m += s
-        self.v *= dt(self.beta2)
-        np.multiply(g, g, out=s)
-        s *= dt(1.0 - self.beta2)
-        self.v += s
-        np.multiply(self.v, dt(1.0 / b2t), out=s)
-        np.sqrt(s, out=s)
-        s += dt(self.eps)
-        np.divide(self.m, s, out=s)
-        s *= dt(self.lr / b1t)
-        self.params -= s
+        beta1, one_m_beta1 = dt(self.beta1), dt(1.0 - self.beta1)
+        beta2, one_m_beta2 = dt(self.beta2), dt(1.0 - self.beta2)
+        inv_b2t, eps, step = dt(1.0 / b2t), dt(self.eps), dt(self.lr / b1t)
+        for c in _chunks(self.params.size):
+            m, v, gc = self.m[c], self.v[c], g[c]
+            s = self._scratch[: c.stop - c.start]
+            m *= beta1
+            np.multiply(gc, one_m_beta1, out=s)
+            m += s
+            v *= beta2
+            np.multiply(gc, gc, out=s)
+            s *= one_m_beta2
+            v += s
+            np.multiply(v, inv_b2t, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(m, s, out=s)
+            s *= step
+            self.params[c] -= s

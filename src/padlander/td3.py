@@ -11,7 +11,7 @@ declaration order.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -154,7 +154,7 @@ class Td3Learner:
             loss = float(np.mean(err**2))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"{name} loss non-finite at update {self.n_updates}")
-            grads, _ = critic.backward((2.0 * err / b)[:, None])
+            grads, _ = critic.backward((2.0 * err / b)[:, None], need_input_grad=False)
             opt.step(grads)
             diags[f"{name}_loss"] = loss
             diags[f"{name}_q_mean"] = float(np.mean(q))
@@ -167,7 +167,7 @@ class Td3Learner:
             # Ascend Q1: minimize -mean(Q1(s, pi(s))).
             _, d_in = self.critic1.backward(np.full((b, 1), -1.0 / b, dtype=self.dtype))
             d_action = d_in[:, self.obs_dim :]
-            actor_grads, _ = self.actor.backward(d_action)
+            actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
             self.actor_opt.step(actor_grads)
             diags["actor_loss"] = float(-np.mean(self.critic1._cache[-1]))
             self.target_actor.polyak_from(self.actor, hp.polyak_tau)
@@ -220,15 +220,26 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
     cut = blob.find(sep)
     if cut < 0 or not blob.startswith(b"padlander-checkpoint v1"):
         raise CheckpointFormatError(f"{path}: not a padlander v1 checkpoint")
+    try:
+        header = blob[:cut].decode("ascii")
+    except UnicodeDecodeError as e:
+        raise CheckpointFormatError(f"{path}: header is not ASCII (byte {e.start})") from e
     fields = {}
-    for line in blob[:cut].decode("ascii").splitlines()[1:]:
+    for line in header.splitlines()[1:]:
         key, _, value = line.partition(" ")
         fields[key] = value
-    net_names = fields["nets"].split(",")
-    dims = {n: [int(d) for d in fields[f"dims.{n}"].split(",")] for n in net_names}
 
-    hp = hp or Td3Hyperparams()
-    hp.hidden_dims = tuple(dims["actor"][1:-1])
+    def need(key: str) -> str:
+        if key not in fields:
+            raise CheckpointFormatError(f"{path}: header has no {key!r} line")
+        return fields[key]
+
+    net_names = need("nets").split(",")
+    dims = {n: [int(d) for d in need(f"dims.{n}").split(",")] for n in net_names}
+    if "actor" not in dims or "critic1" not in dims:
+        raise CheckpointFormatError(f"{path}: header nets {net_names} lack actor or critic1")
+
+    hp = replace(hp or Td3Hyperparams(), hidden_dims=tuple(dims["actor"][1:-1]))
     learner = Td3Learner(hp, seed=0, obs_dim=dims["actor"][0], action_dim=dims["actor"][-1])
     if dims["critic1"][0] != learner.obs_dim + learner.action_dim:
         raise CheckpointFormatError("critic input dim inconsistent with actor dims")
@@ -258,7 +269,7 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
         raise CheckpointFormatError(f"{path}: payload shorter than header promises") from e
 
     opts = [learner.actor_opt, learner.critic1_opt, learner.critic2_opt]
-    if fields.get("optimizer_state") == "1":
+    if need("optimizer_state") == "1":
         try:
             for opt in opts:
                 opt.m[:] = take(opt.m.shape)
@@ -267,10 +278,10 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
             raise CheckpointFormatError(f"{path}: optimizer payload truncated") from e
     if offset != len(payload):
         raise CheckpointFormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    for opt, t in zip(opts, fields["adam_t"].split(",")):
+    for opt, t in zip(opts, need("adam_t").split(",")):
         opt.t = int(t)
-    learner.n_updates = int(fields["n_updates"])
-    learner.update_rng.bit_generator.state = json.loads(fields["rng"])
+    learner.n_updates = int(need("n_updates"))
+    learner.update_rng.bit_generator.state = json.loads(need("rng"))
     return learner
 
 

@@ -181,6 +181,17 @@ class TestCliCommands:
         b = (tmp_path / "b" / "benchmark_s6" / "trials.csv").read_bytes()
         assert a == b
 
+    def test_benchmark_applies_pid_overrides(self, tmp_path):
+        trials = {}
+        for name, extra in (("default", []), ("kd", ["-o", "pid.kd=50"])):
+            rc = main([
+                "benchmark", "--baseline", "--scenario", "SPL", "--trials", "1",
+                "--seed", "3", "-o", f"outdir={tmp_path / name}", *extra,
+            ])
+            assert rc == 0
+            trials[name] = (tmp_path / name / "benchmark_s3" / "trials.csv").read_text()
+        assert trials["default"] != trials["kd"]
+
     def test_replay_summary_and_downsample(self, tmp_path, capsys):
         bench_dir = tmp_path / "bench"
         rc = main([

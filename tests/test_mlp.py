@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from padlander.mlp import Adam, Mlp
+from padlander.mlp import CHUNK, Adam, Mlp
+
+PRODUCTION_STACKS = (
+    ([18, 512, 512, 256, 128, 1], "linear"),
+    ([15, 512, 512, 256, 128, 3], "tanh"),
+)
 
 
 def finite_difference_grads(net, x, upstream, h):
@@ -17,6 +22,59 @@ def finite_difference_grads(net, x, upstream, h):
         flat[i] = orig
         grads[i] = (f1 - f2) / (2.0 * h)
     return grads
+
+
+def reference_forward(net, x):
+    """Activations [input, layer outputs...] by the plain `h @ w + b` formulas."""
+    h = np.atleast_2d(np.asarray(x, dtype=net.dtype))
+    acts = [h]
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ w + b
+        if i < net.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        elif net.output_activation == "tanh":
+            h = np.tanh(z)
+        else:
+            h = z
+        acts.append(h)
+    return acts
+
+
+def reference_backward(net, acts, upstream):
+    """(flat weight gradients, input gradient) with a fresh array per step."""
+    delta = np.atleast_2d(np.asarray(upstream, dtype=net.dtype))
+    if net.output_activation == "tanh":
+        delta = delta * (1.0 - acts[-1] ** 2)
+    flat = np.empty_like(net.flat)
+    views = net.unflatten(flat)
+    for i in range(net.n_layers - 1, -1, -1):
+        np.matmul(acts[i].T, delta, out=views[2 * i])
+        np.sum(delta, axis=0, out=views[2 * i + 1])
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * (acts[i] > 0)
+    return flat, delta
+
+
+def reference_adam_step(params, m, v, t, g, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The 13 whole-buffer Adam operations, in place; t is the new step count."""
+    dt = params.dtype.type
+    b1t = 1.0 - beta1**t
+    b2t = 1.0 - beta2**t
+    s = np.empty_like(params)
+    m *= dt(beta1)
+    np.multiply(g, dt(1.0 - beta1), out=s)
+    m += s
+    v *= dt(beta2)
+    np.multiply(g, g, out=s)
+    s *= dt(1.0 - beta2)
+    v += s
+    np.multiply(v, dt(1.0 / b2t), out=s)
+    np.sqrt(s, out=s)
+    s += dt(eps)
+    np.divide(m, s, out=s)
+    s *= dt(lr / b1t)
+    params -= s
 
 
 def rel_err(a, b):
@@ -45,6 +103,27 @@ class TestForward:
         h = np.maximum(x @ net.weights[0] + net.biases[0], 0.0)
         expected = np.tanh(h @ net.weights[1] + net.biases[1])
         assert np.allclose(net.forward(x), expected, atol=1e-6)
+
+    @pytest.mark.parametrize("dims,act", PRODUCTION_STACKS)
+    def test_bit_equal_to_reference_production_stacks(self, dims, act):
+        rng = np.random.default_rng(20)
+        net = Mlp(dims, act, rng)
+        x1 = rng.normal(size=dims[0]).astype(np.float32)
+        assert np.array_equal(net.forward(x1), reference_forward(net, x1)[-1][0])
+        for batch in (1, 100):
+            x = rng.normal(size=(batch, dims[0])).astype(np.float32)
+            out = net.forward(x)
+            assert out.dtype == np.float32
+            assert np.array_equal(out, reference_forward(net, x)[-1])
+
+    def test_returned_output_not_aliased(self):
+        rng = np.random.default_rng(21)
+        net = Mlp([6, 10, 3], "tanh", rng)
+        x1, x2 = rng.normal(size=(2, 4, 6)).astype(np.float32)
+        first = net.forward(x1)
+        kept = first.copy()
+        net.forward(x2)
+        assert np.array_equal(first, kept)
 
     def test_dimension_mismatch_rejected(self):
         net = Mlp([4, 2])
@@ -113,6 +192,23 @@ class TestBackward:
         assert views[0][0, 0] == 0.0  # w0 gradient blocked by the dead unit
         assert d_in[0, 0] == 0.0
 
+    @pytest.mark.parametrize("dims,act", PRODUCTION_STACKS)
+    def test_bit_equal_to_reference_production_stacks(self, dims, act):
+        rng = np.random.default_rng(22)
+        net = Mlp(dims, act, rng)
+        for batch in (1, 100):
+            x = rng.normal(size=(batch, dims[0])).astype(np.float32)
+            up = rng.normal(size=(batch, dims[-1])).astype(np.float32)
+            ref_grads, ref_d_in = reference_backward(net, reference_forward(net, x), up)
+            net.forward(x)
+            grads, d_in = net.backward(up)
+            assert np.array_equal(grads, ref_grads)
+            assert np.array_equal(d_in, ref_d_in)
+            net.forward(x)
+            grads, d_in = net.backward(up, need_input_grad=False)
+            assert d_in is None
+            assert np.array_equal(grads, ref_grads)
+
     def test_backward_requires_forward(self):
         net = Mlp([2, 2])
         with pytest.raises(RuntimeError):
@@ -136,9 +232,25 @@ class TestAdamAndPolyak:
             opt.step(2.0 * params)  # d/dx x^2
         assert abs(params[0]) < 1e-3
 
-    def test_polyak_exact_formula(self):
+    def test_adam_chunked_bit_equal_to_whole_buffer_reference(self):
+        rng = np.random.default_rng(9)
+        n = 2 * CHUNK + 123
+        params = rng.normal(size=n).astype(np.float32)
+        ref_params, ref_m, ref_v = params.copy(), np.zeros(n, np.float32), np.zeros(n, np.float32)
+        opt = Adam(params, lr=1e-3)
+        for t in range(1, 6):
+            g = rng.normal(size=n).astype(np.float32)
+            opt.step(g)
+            reference_adam_step(ref_params, ref_m, ref_v, t, g, lr=1e-3)
+        assert opt.t == 5
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(opt.m, ref_m)
+        assert np.array_equal(opt.v, ref_v)
+
+    @pytest.mark.parametrize("dims", ([4, 6, 2], [200, 300, 2]))  # one chunk; several
+    def test_polyak_exact_formula(self, dims):
         rng = np.random.default_rng(8)
-        online = Mlp([4, 6, 2], "tanh", rng)
+        online = Mlp(dims, "tanh", rng)
         target = online.copy()
         target.flat[:] = rng.normal(size=target.flat.shape).astype(np.float32)
         tau = np.float32(0.005)

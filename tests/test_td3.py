@@ -4,6 +4,7 @@ import pytest
 from padlander.environment import EnvConfig, LandingEnv
 from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import (
+    HIDDEN,
     CheckpointFormatError,
     ReplayBuffer,
     Td3Hyperparams,
@@ -150,6 +151,31 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[:-100])  # truncate payload
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_load_leaves_caller_hyperparams_alone(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=14))
+        hp = Td3Hyperparams()
+        loaded = load_checkpoint(path, hp)
+        assert loaded.hp.hidden_dims == SMALL["hidden_dims"]
+        assert hp.hidden_dims == HIDDEN
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=15))
+        blob = path.read_bytes()
+        start = blob.index(b"\nn_updates ")
+        path.write_bytes(blob[:start] + blob[blob.index(b"\n", start + 1) :])
+        with pytest.raises(CheckpointFormatError, match="n_updates"):
+            load_checkpoint(path)
+
+    def test_non_ascii_header_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=16))
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"nets actor", b"nets \xe9ctor", 1))
+        with pytest.raises(CheckpointFormatError, match="ASCII"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
