@@ -164,8 +164,9 @@ class Td3Learner:
             pi = self.actor.forward(obs)
             actor_in = np.concatenate([obs, pi.astype(self.dtype)], axis=1)
             self.critic1.forward(actor_in)
-            # Ascend Q1: minimize -mean(Q1(s, pi(s))).
-            _, d_in = self.critic1.backward(np.full((b, 1), -1.0 / b, dtype=self.dtype))
+            # Ascend Q1: minimize -mean(Q1(s, pi(s))). Only dQ1/da is needed.
+            up = np.full((b, 1), -1.0 / b, dtype=self.dtype)
+            _, d_in = self.critic1.backward(up, need_param_grads=False)
             d_action = d_in[:, self.obs_dim :]
             actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
             self.actor_opt.step(actor_grads)

@@ -208,6 +208,10 @@ class TestBackward:
             grads, d_in = net.backward(up, need_input_grad=False)
             assert d_in is None
             assert np.array_equal(grads, ref_grads)
+            net.forward(x)
+            grads, d_in = net.backward(up, need_param_grads=False)
+            assert grads is None
+            assert np.array_equal(d_in, ref_d_in)
 
     def test_backward_requires_forward(self):
         net = Mlp([2, 2])
@@ -247,16 +251,16 @@ class TestAdamAndPolyak:
         assert np.array_equal(opt.m, ref_m)
         assert np.array_equal(opt.v, ref_v)
 
-    @pytest.mark.parametrize("dims", ([4, 6, 2], [200, 300, 2]))  # one chunk; several
-    def test_polyak_exact_formula(self, dims):
+    def test_polyak_exact_formula(self):
         rng = np.random.default_rng(8)
-        online = Mlp(dims, "tanh", rng)
-        target = online.copy()
-        target.flat[:] = rng.normal(size=target.flat.shape).astype(np.float32)
-        tau = np.float32(0.005)
-        expected = target.flat * (np.float32(1.0) - tau) + tau * online.flat
-        target.polyak_from(online, 0.005)
-        assert np.array_equal(target.flat, expected)
+        for dims in ([4, 6, 2], [CHUNK // 128, 200, 2]):  # one chunk; a full chunk and a partial one
+            online = Mlp(dims, "tanh", rng)
+            target = online.copy()
+            target.flat[:] = rng.normal(size=target.flat.shape).astype(np.float32)
+            tau = np.float32(0.005)
+            expected = target.flat * (np.float32(1.0) - tau) + tau * online.flat
+            target.polyak_from(online, 0.005)
+            assert np.array_equal(target.flat, expected)
 
     def test_copy_is_independent(self):
         net = Mlp([3, 4, 1])
