@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import LandingEnv, StepOutcome, Terminal
 from padlander.rng import substream
 
@@ -31,13 +31,6 @@ def transition_matrix(dt: float) -> np.ndarray:
     return a
 
 
-def observation_matrix() -> np.ndarray:
-    """Positions observed directly."""
-    h = np.zeros((3, 6))
-    h[0, 0] = h[1, 1] = h[2, 2] = 1.0
-    return h
-
-
 @dataclass
 class EkfState:
     x: np.ndarray  # [position(3), velocity(3)]
@@ -45,7 +38,6 @@ class EkfState:
     Q: np.ndarray  # 6x6 process noise
     R_meas: np.ndarray  # 3x3 measurement noise
     A: np.ndarray  # 6x6 transition
-    H: np.ndarray = field(default_factory=observation_matrix)
 
     @staticmethod
     def create(
@@ -69,51 +61,54 @@ def ekf_predict(state: EkfState) -> EkfState:
     x = state.A @ state.x
     p = state.A @ state.P @ state.A.T + state.Q
     p = 0.5 * (p + p.T)
-    return EkfState(x, p, state.Q, state.R_meas, state.A, state.H)
+    return EkfState(x, p, state.Q, state.R_meas, state.A)
 
 
 def ekf_update(state: EkfState, z: np.ndarray) -> EkfState:
-    """Fold in a position measurement via the Kalman gain."""
+    """Fold in a position measurement; with H = [I 0], H x, H P H' and P H' are slices."""
     z = np.asarray(z, dtype=float)
     if z.shape != (3,) or not np.all(np.isfinite(z)):
-        raise ValueError(f"measurement must be a finite 3-vector, got {z}")
-    h = state.H
-    innovation = z - h @ state.x
-    s = h @ state.P @ h.T + state.R_meas
+        raise StateCorruptionError(f"measurement must be a finite 3-vector, got {z}")
+    innovation = z - state.x[:3]
+    s = state.P[:3, :3] + state.R_meas
     if np.linalg.cond(s) > 1e12:
         raise FilterDivergenceError("innovation covariance numerically singular")
-    k = state.P @ h.T @ np.linalg.inv(s)
+    k = state.P[:, :3] @ np.linalg.inv(s)
     x = state.x + k @ innovation
-    p = (np.eye(6) - k @ h) @ state.P
+    i_kh = np.eye(6)
+    i_kh[:, :3] -= k
+    p = i_kh @ state.P
     p = 0.5 * (p + p.T)
-    return EkfState(x, p, state.Q, state.R_meas, state.A, state.H)
+    return EkfState(x, p, state.Q, state.R_meas, state.A)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PidController:
+    """PID gains; the per-episode history lives in a PidState."""
+
     kp: np.ndarray = field(default_factory=lambda: np.array([1.2, 1.2, 1.0]))
     ki: float = 0.05
     kd: float = 0.3
     integral_clamp: float = 0.5
     output_clamp: float = SETPOINT_DELTA_BOUND
-    integral: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    prev_error: Optional[np.ndarray] = None
 
-    def reset(self) -> None:
-        self.integral = np.zeros(3)
-        self.prev_error = None
-
-    def command(self, error: np.ndarray, dt: float) -> np.ndarray:
-        """PID on the position error, clamped to the actuation bound."""
+    def command(self, state: "PidState", error: np.ndarray, dt: float) -> np.ndarray:
+        """PID on the position error, clamped to the actuation bound; advances state."""
         error = np.asarray(error, dtype=float)
-        self.integral = np.clip(self.integral + error * dt, -self.integral_clamp, self.integral_clamp)
-        derivative = np.zeros(3) if self.prev_error is None else (error - self.prev_error) / dt
-        self.prev_error = error.copy()
-        out = self.kp * error + self.ki * self.integral + self.kd * derivative
+        state.integral = np.clip(state.integral + error * dt, -self.integral_clamp, self.integral_clamp)
+        derivative = np.zeros(3) if state.prev_error is None else (error - state.prev_error) / dt
+        state.prev_error = error.copy()
+        out = self.kp * error + self.ki * state.integral + self.kd * derivative
         return np.clip(out, -self.output_clamp, self.output_clamp)
 
 
 @dataclass
+class PidState:
+    integral: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    prev_error: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
 class PursuitConfig:
     lookahead: float = 0.5  # s, lead on the estimated pad velocity
     descent_rate: float = 0.3  # m/s, approach-offset ramp
@@ -126,6 +121,7 @@ def pursuit_command(
     est: EkfState,
     drone: DroneState,
     pid: PidController,
+    pid_state: PidState,
     approach_offset: float,
     dt: float,
     cfg: PursuitConfig,
@@ -138,7 +134,7 @@ def pursuit_command(
     if lateral_error < cfg.align_radius:
         approach_offset = max(0.0, approach_offset - cfg.descent_rate * dt)
     target = target + np.array([0.0, 0.0, approach_offset])
-    delta = pid.command(target - drone.position, dt)
+    delta = pid.command(pid_state, target - drone.position, dt)
     return delta, approach_offset
 
 
@@ -161,7 +157,7 @@ def run_baseline_episode(
     """Close the loop: noisy pad measurements -> EKF -> PID -> env actions."""
     cfg = pursuit or PursuitConfig()
     pid = pid or PidController()
-    pid.reset()
+    pid_state = PidState()
     env.reset(seed)
     dt = env.control_dt
     meas_rng = substream(seed, "baseline-measurements")
@@ -177,7 +173,7 @@ def run_baseline_episode(
     terminal = Terminal.NONE
     while terminal is Terminal.NONE:
         ekf = ekf_predict(ekf)
-        delta, approach_offset = pursuit_command(ekf, drone, pid, approach_offset, dt, cfg)
+        delta, approach_offset = pursuit_command(ekf, drone, pid, pid_state, approach_offset, dt, cfg)
         out = env.step(delta / env.cfg.action_scale)
         drone = out.info["drone"]
         z = out.info["pad"].position + meas_rng.normal(0.0, cfg.measurement_sigma, size=3)

@@ -8,6 +8,7 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import replace
 
 from padlander.config import ConfigError, RunConfig, apply_item, dump_config, load_config
 from padlander.environment import TRACE_COLUMNS, EnvConfig, LandingEnv
@@ -32,7 +33,7 @@ def _load(args) -> RunConfig:
         key, _, value = item.partition("=")
         cfg = apply_item(cfg, key, value)
     if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+        cfg = replace(cfg, seed=args.seed)
     scenario = getattr(args, "scenario", None)
     if isinstance(scenario, str) and scenario:
         cfg = apply_item(cfg, "scenario", scenario)
@@ -69,7 +70,7 @@ def _scenario_list(names) -> list:
 def cmd_train(args) -> int:
     cfg = _load(args)
     if args.total_steps is not None:
-        cfg.td3.total_steps = args.total_steps
+        cfg = replace(cfg, td3=replace(cfg.td3, total_steps=args.total_steps))
     outdir = _run_dir(cfg, "train", not args.timestamp_dir)
     _write_resolved(outdir, cfg)
 
@@ -232,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario name or ALL; repeatable")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--wind", action="store_true")
-    p.add_argument("--workers", type=int, default=1,
-                   help="reserved; trials run sequentially for determinism")
     p.add_argument("--timestamp-dir", action="store_true")
     p.set_defaults(func=cmd_benchmark)
 

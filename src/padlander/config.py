@@ -1,10 +1,11 @@
 """Flat-text run configuration.
 
 Format: one `section.key = value` per line, `#` comments, blank lines
-ignored. Every ledgered default in the stack is overridable; unknown keys
-are rejected with the offending key named. Each run writes its fully
-resolved configuration next to its outputs so results are reproducible
-from artifacts alone.
+ignored. Every scalar default in the stack is overridable (array and tuple
+fields are not); unknown keys are rejected with the offending key named.
+Sections are frozen: an override builds a new RunConfig. Each run writes
+its fully resolved configuration next to its outputs so results are
+reproducible from artifacts alone.
 """
 
 import dataclasses
@@ -23,14 +24,12 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalSettings:
-    trials_per_scenario: int = 10
     wind: bool = False
-    workers: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     outdir: str = "runs"
@@ -53,11 +52,8 @@ _SCALARS = (int, float, bool, str)
 
 
 def _configurable_fields(obj) -> Dict[str, type]:
-    out = {}
-    for f in dataclasses.fields(obj):
-        if f.type in ("int", "float", "bool", "str") or isinstance(getattr(obj, f.name), _SCALARS):
-            out[f.name] = type(getattr(obj, f.name))
-    return out
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: type(v) for name, v in values.items() if isinstance(v, _SCALARS)}
 
 
 def _parse_value(text: str, target_type: type):
@@ -101,12 +97,7 @@ def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
         parsed = _parse_value(value, fields[attr])
     except (ValueError, ConfigError) as e:
         raise ConfigError(f"bad value for {key}: {e}") from None
-    if dataclasses.fields(type(target)) and getattr(type(target), "__dataclass_params__").frozen:
-        updated = replace(target, **{attr: parsed})
-    else:
-        updated = target
-        setattr(updated, attr, parsed)
-    return replace(cfg, **{section: updated})
+    return replace(cfg, **{section: replace(target, **{attr: parsed})})
 
 
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
@@ -135,9 +126,7 @@ def dump_config(cfg: RunConfig) -> str:
     lines = [f"seed = {cfg.seed}", f"outdir = {cfg.outdir}", f"scenario = {cfg.scenario}"]
     for section in _SECTIONS:
         target = getattr(cfg, section)
-        for name, _ in sorted(_configurable_fields(target).items()):
-            if section == "scenario_params" and name == "kind":
-                continue
+        for name in sorted(_configurable_fields(target)):
             value = getattr(target, name)
             if isinstance(value, bool):
                 value = "true" if value else "false"

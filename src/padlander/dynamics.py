@@ -74,10 +74,6 @@ class DroneParams:
             raise ValueError("mass, tau_v and physics_dt must be positive")
 
 
-def clamp_envelope(v: np.ndarray, envelope: np.ndarray = VEL_ENVELOPE) -> np.ndarray:
-    return np.clip(v, -envelope, envelope)
-
-
 def step_drone_many(
     state: DroneState,
     params: DroneParams,

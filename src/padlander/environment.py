@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from padlander.dynamics import DroneParams, DroneState, apply_setpoint_delta, step_drone_many
+from padlander.dynamics import DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, step_drone_many
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
 from padlander.scenario import (
@@ -98,7 +98,7 @@ def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> 
         ]
     )
     if not np.all(np.isfinite(raw)):
-        raise ValueError("non-finite state in observation assembly")
+        raise StateCorruptionError("non-finite state in observation assembly")
     bounds = cfg.norm_bounds
     return np.clip(raw, -bounds, bounds) / bounds
 

@@ -15,17 +15,29 @@ Reported metric families:
 import enum
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from padlander.baseline import ESTIMATOR_COLUMNS, PidController, PursuitConfig, run_baseline_episode
-from padlander.environment import EnvConfig, LandingEnv, Terminal, write_trace
+from padlander.baseline import (
+    ESTIMATOR_COLUMNS,
+    FilterDivergenceError,
+    PidController,
+    PursuitConfig,
+    run_baseline_episode,
+)
+from padlander.dynamics import ActionBoundError, StateCorruptionError
+from padlander.environment import ActionRangeError, EnvConfig, LandingEnv, Terminal, write_trace
 from padlander.reward import RewardConfig
 from padlander.rng import substream
 from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import Td3Learner
+
+
+# A controller that hits one of these ends its trial as a Crash; any other
+# exception is a defect in the code and propagates.
+CONTROLLER_FAILURES = (StateCorruptionError, ActionBoundError, ActionRangeError, FilterDivergenceError)
 
 
 class Controller(enum.Enum):
@@ -151,8 +163,8 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Seeded paired trials for the requested controllers and scenarios.
 
-    pid sets the baseline's gains (default PidController()); its state is
-    reset at the start of every baseline episode.
+    pid sets the baseline's gains (default PidController()); every baseline
+    episode starts from a fresh PidState.
     """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
@@ -170,7 +182,7 @@ def run_benchmark(
         os.makedirs(trace_dir, exist_ok=True)
 
     for kind in scenarios:
-        base_cfg = _with_wind(env_cfg, wind)
+        base_cfg = replace(env_cfg, wind_enabled=wind)
         for controller in controllers:
             trials = []
             for i in range(trials_per_scenario):
@@ -184,11 +196,10 @@ def run_benchmark(
                         ep = run_baseline_episode(env, trial_seed, pursuit, pid)
                         outcomes, est_rows = ep.outcomes, ep.estimator_rows
                     trial = _trial_from_outcomes(kind, controller, trial_seed, outcomes, wind)
-                except Exception as e:  # controller crash: record failure, continue
+                except CONTROLLER_FAILURES as e:
                     trial = TrialResult(kind, controller, trial_seed, Terminal.CRASH, None, 0.0, None, wind)
-                    trial_note = f"controller error: {e}"
                     outcomes = []
-                    print(f"[benchmark] {kind.value}/{controller.value} trial {i}: {trial_note}")
+                    print(f"[benchmark] {kind.value}/{controller.value} trial {i}: controller error: {e}")
                 trials.append(trial)
                 if trace_dir and outcomes:
                     path = os.path.join(trace_dir, f"{kind.value}_{controller.value}_{i:02d}.csv")
@@ -199,12 +210,6 @@ def run_benchmark(
             report.trials.extend(trials)
             report.groups.append(_group_stats(kind, controller, trials))
     return report
-
-
-def _with_wind(cfg: EnvConfig, wind: bool) -> EnvConfig:
-    from dataclasses import replace
-
-    return replace(cfg, wind_enabled=wind)
 
 
 # -- report emission -------------------------------------------------------

@@ -114,10 +114,8 @@ def _arc_angle(spec: ScenarioSpec, t: float):
     period = spec.direction_change_period
     omega = spec.speed / spec.curve_radius
     k = int(t // period)
-    # Full segments alternate +omega, -omega starting positive.
-    theta = 0.0
-    for j in range(k):
-        theta += ((-1) ** j) * omega * period
+    # Full segments alternate +omega, -omega starting positive: k of them sum to 0 or omega * period.
+    theta = omega * period if k % 2 else 0.0
     sign = (-1) ** k
     theta += sign * omega * (t - k * period)
     return theta, sign * omega

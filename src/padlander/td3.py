@@ -29,7 +29,7 @@ class TrainingDivergedError(RuntimeError):
     """A loss or parameter went non-finite during training."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Td3Hyperparams:
     learning_rate: float = 1e-4
     batch_size: int = 100
@@ -230,13 +230,19 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
         key, _, value = line.partition(" ")
         fields[key] = value
 
-    def need(key: str) -> str:
+    def need(key: str, parse=str):
         if key not in fields:
             raise CheckpointFormatError(f"{path}: header has no {key!r} line")
-        return fields[key]
+        try:
+            return parse(fields[key])
+        except (ValueError, TypeError, KeyError) as e:
+            raise CheckpointFormatError(f"{path}: malformed {key!r} value {fields[key]!r}") from e
+
+    def ints(text: str) -> List[int]:
+        return [int(d) for d in text.split(",")]
 
     net_names = need("nets").split(",")
-    dims = {n: [int(d) for d in need(f"dims.{n}").split(",")] for n in net_names}
+    dims = {n: need(f"dims.{n}", ints) for n in net_names}
     if "actor" not in dims or "critic1" not in dims:
         raise CheckpointFormatError(f"{path}: header nets {net_names} lack actor or critic1")
 
@@ -279,10 +285,17 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
             raise CheckpointFormatError(f"{path}: optimizer payload truncated") from e
     if offset != len(payload):
         raise CheckpointFormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
-    for opt, t in zip(opts, need("adam_t").split(",")):
-        opt.t = int(t)
-    learner.n_updates = int(need("n_updates"))
-    learner.update_rng.bit_generator.state = json.loads(need("rng"))
+
+    def set_adam_t(text: str) -> None:
+        for opt, t in zip(opts, ints(text), strict=True):
+            opt.t = t
+
+    def set_rng(text: str) -> None:
+        learner.update_rng.bit_generator.state = json.loads(text)
+
+    need("adam_t", set_adam_t)
+    learner.n_updates = need("n_updates", int)
+    need("rng", set_rng)
     return learner
 
 

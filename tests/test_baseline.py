@@ -5,10 +5,10 @@ from padlander.baseline import (
     EkfState,
     FilterDivergenceError,
     PidController,
+    PidState,
     PursuitConfig,
     ekf_predict,
     ekf_update,
-    observation_matrix,
     pursuit_command,
     run_baseline_episode,
     transition_matrix,
@@ -23,11 +23,6 @@ class TestMatrices:
         a = transition_matrix(0.5)
         x = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0])
         assert np.allclose(a @ x, [0.5, 1.0, 1.5, 1.0, 2.0, 3.0])
-
-    def test_observation_selects_position(self):
-        h = observation_matrix()
-        x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
-        assert np.array_equal(h @ x, [1.0, 2.0, 3.0])
 
 
 class TestEkf:
@@ -101,7 +96,7 @@ class TestEkf:
             ekf = ekf_predict(ekf)
             z = np.array([0.3 * k * dt, 0.0, 0.0]) + rng.normal(0.0, sigma, 3)
             if k > 500:
-                innovations.append(z - ekf.H @ ekf.x)
+                innovations.append(z - ekf.x[:3])
             ekf = ekf_update(ekf, z)
         rms = float(np.sqrt(np.mean(np.square(innovations))))
         assert 0.5 * sigma < rms < 5.0 * sigma
@@ -110,30 +105,35 @@ class TestEkf:
 class TestPid:
     def test_zero_error_zero_command(self):
         pid = PidController()
-        assert np.array_equal(pid.command(np.zeros(3), 0.1), np.zeros(3))
+        assert np.array_equal(pid.command(PidState(), np.zeros(3), 0.1), np.zeros(3))
 
     def test_proportional_term(self):
         pid = PidController(ki=0.0, kd=0.0)
-        out = pid.command(np.array([0.01, -0.02, 0.03]), 0.1)
+        out = pid.command(PidState(), np.array([0.01, -0.02, 0.03]), 0.1)
         assert np.allclose(out, [0.012, -0.024, 0.03])
 
     def test_output_clamped_to_actuation_bound(self):
         pid = PidController()
-        out = pid.command(np.array([10.0, -10.0, 10.0]), 0.1)
+        out = pid.command(PidState(), np.array([10.0, -10.0, 10.0]), 0.1)
         assert np.max(np.abs(out)) <= 0.1 + 1e-12
 
     def test_integral_windup_clamped(self):
         pid = PidController(kp=np.zeros(3), kd=0.0)
+        state = PidState()
         for _ in range(1000):
-            pid.command(np.array([1.0, 0.0, 0.0]), 0.1)
-        assert pid.integral[0] == pytest.approx(pid.integral_clamp)
+            pid.command(state, np.array([1.0, 0.0, 0.0]), 0.1)
+        assert state.integral[0] == pytest.approx(pid.integral_clamp)
 
-    def test_reset_clears_history(self):
+    def test_fresh_state_has_no_history(self):
         pid = PidController()
-        pid.command(np.ones(3), 0.1)
-        pid.reset()
-        assert np.array_equal(pid.integral, np.zeros(3))
-        assert pid.prev_error is None
+        used = PidState()
+        first = pid.command(used, np.ones(3), 0.1)
+        pid.command(used, -np.ones(3), 0.1)
+        fresh = PidState()
+        assert np.array_equal(fresh.integral, np.zeros(3))
+        assert fresh.prev_error is None
+        # the gains carry no history: a fresh state repeats the first command
+        assert np.array_equal(pid.command(fresh, np.ones(3), 0.1), first)
 
 
 class TestPursuit:
@@ -142,10 +142,10 @@ class TestPursuit:
         pid = PidController()
         est = EkfState.create(1 / 30, x0=np.zeros(6))
         far = DroneState.at_rest([1.0, 0.0, 0.5])
-        _, off = pursuit_command(est, far, pid, cfg.approach_height, 1 / 30, cfg)
+        _, off = pursuit_command(est, far, pid, PidState(), cfg.approach_height, 1 / 30, cfg)
         assert off == cfg.approach_height  # misaligned: hold altitude offset
         near = DroneState.at_rest([0.01, 0.0, 0.5])
-        _, off = pursuit_command(est, near, pid, cfg.approach_height, 1 / 30, cfg)
+        _, off = pursuit_command(est, near, pid, PidState(), cfg.approach_height, 1 / 30, cfg)
         assert off == pytest.approx(cfg.approach_height - cfg.descent_rate / 30)
 
     def test_offset_never_negative(self):
@@ -153,9 +153,10 @@ class TestPursuit:
         pid = PidController()
         est = EkfState.create(1 / 30, x0=np.zeros(6))
         drone = DroneState.at_rest([0.0, 0.0, 0.1])
+        state = PidState()
         off = 0.001
         for _ in range(10):
-            _, off = pursuit_command(est, drone, pid, off, 1 / 30, cfg)
+            _, off = pursuit_command(est, drone, pid, state, off, 1 / 30, cfg)
         assert off == 0.0
 
     def test_lookahead_leads_moving_estimate(self):
@@ -163,7 +164,7 @@ class TestPursuit:
         pid = PidController(kp=np.ones(3), ki=0.0, kd=0.0, output_clamp=10.0)
         est = EkfState.create(1 / 30, x0=[0.0, 0.0, 0.0, 0.3, 0.0, 0.0])
         drone = DroneState.at_rest([0.0, 0.0, 0.0])
-        delta, _ = pursuit_command(est, drone, pid, 0.0, 1 / 30, cfg)
+        delta, _ = pursuit_command(est, drone, pid, PidState(), 0.0, 1 / 30, cfg)
         # pure P control toward the led target 0.3 * 0.5 = 0.15 m ahead
         assert delta[0] == pytest.approx(0.15)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,75 @@ from padlander.config import (
 )
 from padlander.environment import TRACE_COLUMNS
 from padlander.scenario import ScenarioKind
+
+DEFAULT_DUMP = """\
+seed = 0
+outdir = runs
+scenario = SPL
+drone.a_max = 10
+drone.gravity = 9.81
+drone.kp_pos = 4
+drone.mass = 0.027
+drone.physics_dt = 0.00416666667
+drone.tau_v = 0.25
+scenario_params.curve_radius = 0.5
+scenario_params.direction_change_period = 3
+scenario_params.initial_heading = 0
+scenario_params.seed = 0
+scenario_params.speed = 0.3
+scenario_params.vertical_amplitude = 0.2
+reward.alpha = 5
+reward.beta_below = 0.5
+reward.beta_edge = 0.25
+reward.eta = 0.1
+reward.far_radius = 2
+reward.gamma = -1
+reward.k_delta = 0.3
+reward.near_radius = 0.1
+reward.q_max = 0.4
+reward.repulsive_enabled = false
+reward.zeta = 0.5
+env.action_scale = 0.1
+env.control_hz = 30
+env.crash_descent_speed = 1
+env.episode_cap = 20
+env.out_of_bounds_radius = 3
+env.physics_hz = 240
+env.spawn_alt_max = 1.5
+env.spawn_alt_min = 0.5
+env.spawn_radius = 1.5
+env.touchdown_lateral = 0.25
+env.touchdown_speed = 0.5
+env.touchdown_vertical = 0.05
+env.wind_bound = 0.005
+env.wind_enabled = true
+env.wind_p_episode = 0.2
+env.wind_p_step = 0.2
+td3.batch_size = 100
+td3.buffer_capacity = 1000000
+td3.checkpoint_interval = 50000
+td3.discount = 0.99
+td3.eval_episodes = 10
+td3.eval_interval = 10000
+td3.exploration_noise_sigma = 0.1
+td3.learning_rate = 0.0001
+td3.learning_starts = 100
+td3.policy_delay = 2
+td3.polyak_tau = 0.005
+td3.target_noise_clip = 0.5
+td3.target_noise_sigma = 0.2
+td3.total_steps = 300000
+baseline.align_radius = 0.05
+baseline.approach_height = 0.5
+baseline.descent_rate = 0.3
+baseline.lookahead = 0.5
+baseline.measurement_sigma = 0.001
+pid.integral_clamp = 0.5
+pid.kd = 0.3
+pid.ki = 0.05
+pid.output_clamp = 0.1
+evaluation.wind = false
+"""
 
 
 class TestConfigParsing:
@@ -79,6 +150,22 @@ class TestConfigParsing:
         assert reparsed.td3.total_steps == 5000
         assert reparsed.scenario == "CTL"
 
+    def test_every_section_is_frozen(self):
+        cfg = RunConfig()
+        sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]
+        sections = [v for v in sections if dataclasses.is_dataclass(v)]
+        assert len(sections) == 8
+        for value in [cfg] + sections:
+            assert type(value).__dataclass_params__.frozen, type(value).__name__
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.pid.kd = 1.0
+
+    def test_override_leaves_base_config_alone(self):
+        base = RunConfig()
+        cfg = apply_item(base, "pid.kd", "0.7")
+        assert cfg.pid.kd == 0.7
+        assert base.pid.kd == 0.3
+
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("seed = 9\nbaseline.lookahead = 0.25\n")
@@ -120,6 +207,10 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "reward.alpha = 9.5" in out
         assert "seed = 4" in out
+
+    def test_config_dump_defaults(self, capsys):
+        assert main(["config-dump"]) == 0
+        assert capsys.readouterr().out == DEFAULT_DUMP
 
     def test_reward_surface_row_count(self, tmp_path, capsys):
         out = tmp_path / "surface.csv"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from padlander import baseline, evaluation
+from padlander.baseline import FilterDivergenceError
 from padlander.environment import Terminal
 from padlander.evaluation import (
     BenchmarkReport,
@@ -133,6 +135,25 @@ class TestRunBenchmark:
         )
         for t in r.trials:
             assert (t.touchdown_lateral_error is not None) == (t.terminal is Terminal.TOUCHDOWN)
+
+    def test_code_defect_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("defect in the controller code")
+
+        monkeypatch.setattr(evaluation, "run_baseline_episode", broken)
+        with pytest.raises(TypeError, match="defect"):
+            run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=1)
+
+    def test_filter_divergence_is_a_crash_trial(self, monkeypatch, tmp_path):
+        def diverge(state, z):
+            raise FilterDivergenceError("innovation covariance numerically singular")
+
+        monkeypatch.setattr(baseline, "ekf_update", diverge)
+        r = run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=2,
+                          seed=0, trace_dir=str(tmp_path))
+        assert [t.terminal for t in r.trials] == [Terminal.CRASH, Terminal.CRASH]
+        assert r.groups[0].successes == 0
+        assert list(tmp_path.iterdir()) == []  # no outcomes, no trace
 
     def test_traces_persisted(self, tmp_path):
         trace_dir = tmp_path / "traces"

@@ -8,6 +8,7 @@ from padlander.scenario import (
     PLATFORM_SPEED_LIMIT,
     ScenarioKind,
     ScenarioSpec,
+    _arc_angle,
     init_wind,
     platform_at,
     sample_wind_step,
@@ -80,6 +81,18 @@ class TestWind:
 
 
 class TestPlatform:
+    def test_arc_angle_matches_alternating_sum(self):
+        # the closed form must equal the segment-by-segment sum bit for bit
+        spec = ScenarioSpec(ScenarioKind.CMPL, direction_change_period=0.7, speed=0.33, curve_radius=0.45)
+        omega, period = spec.speed / spec.curve_radius, spec.direction_change_period
+        for t in np.linspace(0.0, 25.0, 997):
+            k = int(t // period)
+            theta = 0.0
+            for j in range(k):
+                theta += ((-1) ** j) * omega * period
+            theta += ((-1) ** k) * omega * (t - k * period)
+            assert _arc_angle(spec, float(t)) == (theta, ((-1) ** k) * omega)
+
     def test_spl_static(self):
         spec = ScenarioSpec(ScenarioKind.SPL)
         for t in (0.0, 1.0, 7.3, 19.99):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ class TestUpdate:
         # with terminal=1 the TD target is exactly r: train critics long
         # enough on one fixed batch and they regress to the rewards
         batch = (obs, act, rew, nxt, term)
-        hp.learning_rate = 1e-3
+        hp = replace(hp, learning_rate=1e-3)
         learner = Td3Learner(hp, seed=0)
         for _ in range(500):
             learner.update(batch)
@@ -176,6 +178,25 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob.replace(b"nets actor", b"nets \xe9ctor", 1))
         with pytest.raises(CheckpointFormatError, match="ASCII"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("dims.actor", b"15,x16,3"),
+        ("dims.critic2", b""),
+        ("adam_t", b"1,2"),
+        ("adam_t", b"1,two,3"),
+        ("n_updates", b"1e3"),
+        ("rng", b"{not json"),
+        ("rng", b"[1, 2]"),
+        ("rng", b'{"bit_generator": "PCG64"}'),
+    ])
+    def test_malformed_header_number_named(self, tmp_path, key, bad):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=17))
+        blob = path.read_bytes()
+        start = blob.index(b"\n" + key.encode() + b" ") + len(key) + 2
+        path.write_bytes(blob[:start] + bad + blob[blob.index(b"\n", start) :])
+        with pytest.raises(CheckpointFormatError, match=f"malformed '{key}'"):
             load_checkpoint(path)
 
     def test_wrong_magic_rejected(self, tmp_path):
