@@ -21,7 +21,7 @@ from padlander.rng import substream
 
 
 class FilterDivergenceError(RuntimeError):
-    """Innovation covariance numerically singular."""
+    """Covariance non-finite, or innovation covariance numerically singular."""
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -67,11 +67,16 @@ def ekf_predict(state: EkfState) -> EkfState:
 def ekf_update(state: EkfState, z: np.ndarray) -> EkfState:
     """Fold in a position measurement; with H = [I 0], H x, H P H' and P H' are slices."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (3,) or not np.all(np.isfinite(z)):
+    if z.shape != (3,) or not np.isfinite(z).all():
         raise StateCorruptionError(f"measurement must be a finite 3-vector, got {z}")
+    if not np.isfinite(state.P).all():
+        raise FilterDivergenceError("EKF covariance P is not finite")
     innovation = z - state.x[:3]
     s = state.P[:3, :3] + state.R_meas
-    if np.linalg.cond(s) > 1e12:
+    # s is symmetric, so its singular values are its |eigenvalues|: this is
+    # the 2-norm condition number np.linalg.cond gives, without an SVD.
+    w = [abs(v) for v in np.linalg.eigvalsh(s).tolist()]
+    if min(w) == 0.0 or max(w) / min(w) > 1e12:
         raise FilterDivergenceError("innovation covariance numerically singular")
     k = state.P[:, :3] @ np.linalg.inv(s)
     x = state.x + k @ innovation
@@ -92,14 +97,22 @@ class PidController:
     integral_clamp: float = 0.5
     output_clamp: float = SETPOINT_DELTA_BOUND
 
+    def __post_init__(self):
+        # Each clamp is the interval [-c, c]: c <= 0 pins or inverts it.
+        if not (self.integral_clamp > 0 and self.output_clamp > 0):
+            raise ValueError(
+                f"integral_clamp and output_clamp must be positive, got {self.integral_clamp}, {self.output_clamp}"
+            )
+
     def command(self, state: "PidState", error: np.ndarray, dt: float) -> np.ndarray:
         """PID on the position error, clamped to the actuation bound; advances state."""
         error = np.asarray(error, dtype=float)
-        state.integral = np.clip(state.integral + error * dt, -self.integral_clamp, self.integral_clamp)
+        integral = np.maximum(state.integral + error * dt, -self.integral_clamp)
+        state.integral = np.minimum(integral, self.integral_clamp)
         derivative = np.zeros(3) if state.prev_error is None else (error - state.prev_error) / dt
         state.prev_error = error.copy()
         out = self.kp * error + self.ki * state.integral + self.kd * derivative
-        return np.clip(out, -self.output_clamp, self.output_clamp)
+        return np.minimum(np.maximum(out, -self.output_clamp), self.output_clamp)
 
 
 @dataclass
@@ -146,6 +159,7 @@ class BaselineEpisode:
 
 
 ESTIMATOR_COLUMNS = "est_x,est_y,est_z,est_vx,est_vy,est_vz"
+_ESTIMATOR_ROW = ",".join(["%.9g"] * 6)
 
 
 def run_baseline_episode(
@@ -179,6 +193,6 @@ def run_baseline_episode(
         z = out.info["pad"].position + meas_rng.normal(0.0, cfg.measurement_sigma, size=3)
         ekf = ekf_update(ekf, z)
         outcomes.append(out)
-        est_rows.append(",".join(f"{v:.9g}" for v in ekf.x))
+        est_rows.append(_ESTIMATOR_ROW % tuple(ekf.x.tolist()))
         terminal = out.terminal
     return BaselineEpisode(outcomes, est_rows, terminal)

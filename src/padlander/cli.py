@@ -127,6 +127,8 @@ def cmd_benchmark(args) -> int:
         pursuit=cfg.baseline,
         trace_dir=os.path.join(outdir, "traces"),
         pid=cfg.pid,
+        drone_params=cfg.drone,
+        scenario_params=cfg.scenario_params,
     )
     write_report(outdir, report)
     with open(os.path.join(outdir, "report.txt")) as f:

@@ -51,9 +51,21 @@ _SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pi
 _SCALARS = (int, float, bool, str)
 
 
-def _configurable_fields(obj) -> Dict[str, type]:
+# Fields a run sets from elsewhere, with the message that says where.
+_DERIVED = {
+    "scenario_params.kind": "set the top-level 'scenario' key instead of scenario_params.kind",
+    "scenario_params.seed": "reset() draws every episode's scenario_params.seed from the run seed; "
+    "set the top-level 'seed' key instead",
+}
+
+
+def _configurable_fields(section: str, obj) -> Dict[str, type]:
     values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return {name: type(v) for name, v in values.items() if isinstance(v, _SCALARS)}
+    return {
+        name: type(v)
+        for name, v in values.items()
+        if isinstance(v, _SCALARS) and f"{section}.{name}" not in _DERIVED
+    }
 
 
 def _parse_value(text: str, target_type: type):
@@ -84,20 +96,23 @@ def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
         if name not in ScenarioKind.__members__:
             raise ConfigError(f"scenario must be one of {list(ScenarioKind.__members__)}, got {value!r}")
         return replace(cfg, scenario=name)
+    if key in _DERIVED:
+        raise ConfigError(_DERIVED[key])
     section, _, attr = key.partition(".")
     if section not in _SECTIONS or not attr:
         raise ConfigError(f"unknown configuration key {key!r}")
     target = getattr(cfg, section)
-    fields = _configurable_fields(target)
-    if attr == "kind" and section == "scenario_params":
-        raise ConfigError("set the top-level 'scenario' key instead of scenario_params.kind")
+    fields = _configurable_fields(section, target)
     if attr not in fields:
         raise ConfigError(f"unknown key {key!r}; valid {section} keys: {sorted(fields)}")
     try:
         parsed = _parse_value(value, fields[attr])
     except (ValueError, ConfigError) as e:
         raise ConfigError(f"bad value for {key}: {e}") from None
-    return replace(cfg, **{section: replace(target, **{attr: parsed})})
+    try:
+        return replace(cfg, **{section: replace(target, **{attr: parsed})})
+    except ValueError as e:  # the section's own range check
+        raise ConfigError(f"bad value for {key}: {e}") from None
 
 
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
@@ -126,7 +141,7 @@ def dump_config(cfg: RunConfig) -> str:
     lines = [f"seed = {cfg.seed}", f"outdir = {cfg.outdir}", f"scenario = {cfg.scenario}"]
     for section in _SECTIONS:
         target = getattr(cfg, section)
-        for name in sorted(_configurable_fields(target)):
+        for name in sorted(_configurable_fields(section, target)):
             value = getattr(target, name)
             if isinstance(value, bool):
                 value = "true" if value else "false"

@@ -15,7 +15,7 @@ of magnitude faster than 3-vector numpy ops at that size.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,12 @@ class DroneParams:
     kp_pos: float = 4.0  # 1/s, setpoint -> velocity-command gain
     tau_v: float = 0.25  # s, velocity tracking time constant
     a_max: float = 10.0  # m/s^2, acceleration norm clamp
-    physics_dt: float = 1.0 / 240.0  # s
     gravity: float = 9.81  # m/s^2
     vel_envelope: np.ndarray = field(default_factory=lambda: VEL_ENVELOPE.copy())
 
     def __post_init__(self):
-        if self.mass <= 0 or self.tau_v <= 0 or self.physics_dt <= 0:
-            raise ValueError("mass, tau_v and physics_dt must be positive")
+        if self.mass <= 0 or self.tau_v <= 0:
+            raise ValueError("mass and tau_v must be positive")
 
 
 def step_drone_many(
@@ -94,12 +93,12 @@ def step_drone_many(
         raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
     force = _vec3(external_force)
 
-    px, py, pz = (float(c) for c in state.position)
-    vx, vy, vz = (float(c) for c in state.velocity)
-    roll, pitch = float(state.attitude[0]), float(state.attitude[1])
-    spx, spy, spz = (float(c) for c in state.setpoint)
-    ex, ey, ez = (float(c) for c in params.vel_envelope)
-    fax, fay, faz = (float(c) / params.mass for c in force)
+    px, py, pz = state.position.tolist()
+    vx, vy, vz = state.velocity.tolist()
+    roll, pitch = state.attitude[:2].tolist()
+    spx, spy, spz = state.setpoint.tolist()
+    ex, ey, ez = params.vel_envelope.tolist()
+    fax, fay, faz = (f / params.mass for f in force.tolist())
     # one fused scalar check: any nan/inf in the inputs poisons the sum
     probe = px + py + pz + vx + vy + vz + spx + spy + spz + roll + pitch
     if not math.isfinite(probe) or not math.isfinite(fax + fay + faz):
@@ -107,11 +106,22 @@ def step_drone_many(
             raise StateCorruptionError("non-finite drone state")
         raise StateCorruptionError("non-finite external force")
     kp, inv_tau, a_max, g = params.kp_pos, 1.0 / params.tau_v, params.a_max, params.gravity
+    nex, ney, nez = -ex, -ey, -ez
 
+    # Only the last two substeps' attitudes reach the output (the attitude
+    # and its finite difference), so atan2 runs on their accelerations alone.
+    ax = ay = None
     for _ in range(n_substeps):
-        vcx = min(max(kp * (spx - px), -ex), ex)
-        vcy = min(max(kp * (spy - py), -ey), ey)
-        vcz = min(max(kp * (spz - pz), -ez), ez)
+        prev_ax, prev_ay = ax, ay
+        vcx = kp * (spx - px)
+        vcx = nex if vcx < nex else vcx
+        vcx = ex if vcx > ex else vcx
+        vcy = kp * (spy - py)
+        vcy = ney if vcy < ney else vcy
+        vcy = ey if vcy > ey else vcy
+        vcz = kp * (spz - pz)
+        vcz = nez if vcz < nez else vcz
+        vcz = ez if vcz > ez else vcz
         ax = (vcx - vx) * inv_tau
         ay = (vcy - vy) * inv_tau
         az = (vcz - vz) * inv_tau
@@ -121,15 +131,23 @@ def step_drone_many(
             ax *= scale
             ay *= scale
             az *= scale
-        prev_roll, prev_pitch = roll, pitch
-        pitch = math.atan2(ax, g)
-        roll = math.atan2(-ay, g)
-        vx = min(max(vx + (ax + fax) * dt, -ex), ex)
-        vy = min(max(vy + (ay + fay) * dt, -ey), ey)
-        vz = min(max(vz + (az + faz) * dt, -ez), ez)
+        vx = vx + (ax + fax) * dt
+        vx = nex if vx < nex else vx
+        vx = ex if vx > ex else vx
+        vy = vy + (ay + fay) * dt
+        vy = ney if vy < ney else vy
+        vy = ey if vy > ey else vy
+        vz = vz + (az + faz) * dt
+        vz = nez if vz < nez else vz
+        vz = ez if vz > ez else vz
         px += vx * dt
         py += vy * dt
         pz += vz * dt
+    if prev_ax is None:
+        prev_roll, prev_pitch = roll, pitch
+    else:
+        prev_roll, prev_pitch = math.atan2(-prev_ay, g), math.atan2(prev_ax, g)
+    roll, pitch = math.atan2(-ay, g), math.atan2(ax, g)
 
     return DroneState(
         np.array([px, py, pz]),
@@ -157,10 +175,12 @@ def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> DroneState:
     an unscaled action leaked through and is rejected.
     """
     d = _vec3(delta)
-    if not np.all(np.isfinite(d)):
+    dx, dy, dz = d.tolist()
+    if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dz)):
         raise StateCorruptionError("non-finite setpoint delta")
-    if np.max(np.abs(d)) > SETPOINT_DELTA_BOUND + 1e-12:
+    bound = SETPOINT_DELTA_BOUND + 1e-12
+    if abs(dx) > bound or abs(dy) > bound or abs(dz) > bound:
         raise ActionBoundError(
             f"setpoint delta {d} exceeds per-axis bound {SETPOINT_DELTA_BOUND} m"
         )
-    return replace(state, setpoint=state.position + d)
+    return DroneState(state.position, state.velocity, state.attitude, state.angular_velocity, state.position + d)

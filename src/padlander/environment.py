@@ -66,7 +66,6 @@ class EnvConfig:
     physics_hz: int = 240
     action_scale: float = 0.1  # m per unit action
     norm_bounds: np.ndarray = field(default_factory=default_norm_bounds)
-    touchdown_lateral: float = 0.25  # m, pad half extent
     touchdown_vertical: float = 0.05  # m, contact band above pad top
     touchdown_speed: float = 0.5  # m/s, max relative speed
     crash_descent_speed: float = 1.0  # m/s
@@ -97,10 +96,10 @@ def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> 
             pad.velocity - drone.velocity,
         ]
     )
-    if not np.all(np.isfinite(raw)):
+    if not np.isfinite(raw).all():
         raise StateCorruptionError("non-finite state in observation assembly")
     bounds = cfg.norm_bounds
-    return np.clip(raw, -bounds, bounds) / bounds
+    return np.minimum(np.maximum(raw, -bounds), bounds) / bounds
 
 
 @dataclass
@@ -218,9 +217,9 @@ class LandingEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != (3,):
             raise ActionRangeError(f"action must be a 3-vector, got shape {a.shape}")
-        if np.max(np.abs(a)) > 1.0 + 1e-6:
+        if np.abs(a).max() > 1.0 + 1e-6:
             raise ActionRangeError(f"action {a} outside [-1, 1]")
-        a = np.clip(a, -1.0, 1.0)
+        a = np.minimum(np.maximum(a, -1.0), 1.0)
 
         self._wind = sample_wind_step(self._wind, self._wind_rng)
         drone = apply_setpoint_delta(self._drone, self.cfg.action_scale * a)
@@ -233,14 +232,14 @@ class LandingEnv:
 
         rel = drone.position - pad.position
         rel_v = drone.velocity - pad.velocity
-        d = math.hypot(rel[0], rel[1], rel[2])
-        below_pad = rel[2] < 0.0
-        lateral = max(abs(rel[0]), abs(rel[1]))
-        near_edge = abs(rel[2]) < 0.1 and 0.7 * pad.half_extent < lateral <= 1.3 * pad.half_extent
-        reward = compute_reward(rel, rel_v, self._prev_distance, None, below_pad, near_edge, self.reward_cfg)
+        rx, ry, rz = rel_xyz = rel.tolist()
+        d = math.hypot(rx, ry, rz)
+        lateral = max(abs(rx), abs(ry))
+        near_edge = abs(rz) < 0.1 and 0.7 * pad.half_extent < lateral <= 1.3 * pad.half_extent
+        reward = compute_reward(rel, rel_v, self._prev_distance, None, rz < 0.0, near_edge, self.reward_cfg)
         self._prev_distance = d
 
-        self._terminal = self._classify(rel, rel_v, pad.half_extent, self._t)
+        self._terminal = self._classify(rel_xyz, rel_v.tolist(), pad.half_extent, self._t)
         self._drone = drone
 
         info = {
@@ -264,25 +263,27 @@ TRACE_COLUMNS = (
 )
 
 
+# Every numeric trace column, then the terminal name.
+_TRACE_ROW = "%.9g," * TRACE_COLUMNS.count(",") + "%s"
+
+
 def trace_row(outcome: StepOutcome) -> str:
     """One trace CSV row for a step outcome."""
     i = outcome.info
     d: DroneState = i["drone"]
     p = i["pad"]
-    a = i["action"]
-    f = i["wind_force"]
-    vals = [
+    return _TRACE_ROW % (
         i["t"],
-        *d.position,
-        *d.velocity,
-        *d.attitude,
-        *a,
-        *p.position,
-        *p.velocity,
-        *f,
+        *d.position.tolist(),
+        *d.velocity.tolist(),
+        *d.attitude.tolist(),
+        *i["action"].tolist(),
+        *p.position.tolist(),
+        *p.velocity.tolist(),
+        *i["wind_force"].tolist(),
         outcome.reward.total,
-    ]
-    return ",".join(f"{v:.9g}" for v in vals) + f",{outcome.terminal.value}"
+        outcome.terminal.value,
+    )
 
 
 def write_trace(path, outcomes, extra_header: str = "", extra_rows=None) -> None:

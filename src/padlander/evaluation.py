@@ -14,6 +14,7 @@ Reported metric families:
 
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence
@@ -27,7 +28,7 @@ from padlander.baseline import (
     PursuitConfig,
     run_baseline_episode,
 )
-from padlander.dynamics import ActionBoundError, StateCorruptionError
+from padlander.dynamics import ActionBoundError, DroneParams, StateCorruptionError
 from padlander.environment import ActionRangeError, EnvConfig, LandingEnv, Terminal, write_trace
 from padlander.reward import RewardConfig
 from padlander.rng import substream
@@ -103,14 +104,19 @@ def _run_agent_episode(env: LandingEnv, learner: Td3Learner, seed: int):
             return outcomes
 
 
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of a real vector, sqrt(v . v), without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def _trial_from_outcomes(scenario, controller, seed, outcomes, wind: bool) -> TrialResult:
     last = outcomes[-1]
     lateral = None
     if last.terminal is Terminal.TOUCHDOWN:
         rel = last.info["rel_pos"]
         lateral = float(np.hypot(rel[0], rel[1]))
-    drone_speeds = [float(np.linalg.norm(o.info["drone"].velocity)) for o in outcomes]
-    pad_speeds = [float(np.linalg.norm(o.info["pad"].velocity)) for o in outcomes]
+    drone_speeds = [_norm(o.info["drone"].velocity) for o in outcomes]
+    pad_speeds = [_norm(o.info["pad"].velocity) for o in outcomes]
     corr = velocity_correlation(drone_speeds, pad_speeds) if len(outcomes) >= 2 else None
     return TrialResult(
         scenario=scenario,
@@ -160,11 +166,16 @@ def run_benchmark(
     pursuit: Optional[PursuitConfig] = None,
     trace_dir: Optional[str] = None,
     pid: Optional[PidController] = None,
+    drone_params: Optional[DroneParams] = None,
+    scenario_params: Optional[ScenarioSpec] = None,
 ) -> BenchmarkReport:
     """Seeded paired trials for the requested controllers and scenarios.
 
     pid sets the baseline's gains (default PidController()); every baseline
-    episode starts from a fresh PidState.
+    episode starts from a fresh PidState. drone_params and scenario_params
+    (default DroneParams() and ScenarioSpec defaults) shape every env; the
+    spec's kind is replaced by each scenario in turn, and its seed by the
+    per-episode seed drawn at reset.
     """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
@@ -172,6 +183,7 @@ def run_benchmark(
         raise ValueError("agent benchmark requires a learner/checkpoint")
     env_cfg = env_cfg or EnvConfig()
     pid = pid or PidController()
+    scenario_params = scenario_params or ScenarioSpec(ScenarioKind.SPL)
     report = BenchmarkReport()
     seed_rng = substream(seed, "benchmark-trials")
     # One seed per (scenario, trial index), shared across controllers.
@@ -187,7 +199,7 @@ def run_benchmark(
             trials = []
             for i in range(trials_per_scenario):
                 trial_seed = int(trial_seeds[kind][i])
-                env = LandingEnv(ScenarioSpec(kind), base_cfg, reward_cfg)
+                env = LandingEnv(replace(scenario_params, kind=kind), base_cfg, reward_cfg, drone_params)
                 est_rows = None
                 try:
                     if controller is Controller.AGENT:

@@ -14,12 +14,16 @@ draws whether a force is applied, with components uniform in +-bound N.
 """
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
+# (spec, segment) entries kept by the LMPL segment table. Every episode has its
+# own spec, and a 20 s episode at the default 3 s period has 7 segments.
+LMPL_SEGMENT_CACHE = 1024
 
 
 class ScenarioKind(enum.Enum):
@@ -79,13 +83,11 @@ def init_wind(
 
 def sample_wind_step(state: WindState, rng: np.random.Generator) -> WindState:
     """Resample the applied force for one control step of the episode."""
-    if not state.episode_windy:
-        return replace(state, force=np.zeros(3))
-    if rng.uniform() < state.p_step:
+    if state.episode_windy and rng.uniform() < state.p_step:
         force = rng.uniform(-state.component_bound, state.component_bound, size=3)
     else:
         force = np.zeros(3)
-    return replace(state, force=force)
+    return WindState(state.episode_windy, force, state.p_episode, state.p_step, state.component_bound)
 
 
 def _segment_heading(spec: ScenarioSpec, k: int) -> float:
@@ -95,17 +97,36 @@ def _segment_heading(spec: ScenarioSpec, k: int) -> float:
     return float(rng.uniform(0.0, 2.0 * math.pi))
 
 
+@functools.lru_cache(maxsize=LMPL_SEGMENT_CACHE)
+def _lmpl_segment(spec: ScenarioSpec, k: int):
+    """Start offset (x, y) and unit direction (x, y) of LMPL segment k >= 1.
+
+    The offset adds up the full segments before k one at a time, in segment
+    order. Segment 0 never comes from here: it starts at the origin along
+    spec.initial_heading, and specs whose headings differ only in the sign of
+    zero compare and hash equal while sin() tells them apart.
+    """
+    step = spec.speed * spec.direction_change_period
+    ox = oy = 0.0
+    for j in range(k):
+        phi = _segment_heading(spec, j)
+        ox += step * math.cos(phi)
+        oy += step * math.sin(phi)
+    phi = _segment_heading(spec, k)
+    return ox, oy, math.cos(phi), math.sin(phi)
+
+
 def _lmpl(spec: ScenarioSpec, t: float):
     period = spec.direction_change_period
     k = int(t // period)
-    pos = np.zeros(3)
-    for j in range(k):
-        phi = _segment_heading(spec, j)
-        pos += spec.speed * period * np.array([math.cos(phi), math.sin(phi), 0.0])
-    phi = _segment_heading(spec, k)
-    direction = np.array([math.cos(phi), math.sin(phi), 0.0])
-    pos += spec.speed * (t - k * period) * direction
-    vel = spec.speed * direction
+    if k == 0:
+        ox = oy = 0.0
+        cx, cy = math.cos(spec.initial_heading), math.sin(spec.initial_heading)
+    else:
+        ox, oy, cx, cy = _lmpl_segment(spec, k)
+    along = spec.speed * (t - k * period)
+    pos = np.array([ox + along * cx, oy + along * cy, 0.0])
+    vel = spec.speed * np.array([cx, cy, 0.0])
     return pos, vel
 
 
@@ -154,5 +175,5 @@ def platform_at(spec: ScenarioSpec, t: float, half_extent: float = 0.25) -> Plat
         pos, vel = _ctl(spec, t)
     else:  # pragma: no cover
         raise ValueError(f"unknown scenario kind {spec.kind}")
-    vel = np.clip(vel, -PLATFORM_SPEED_LIMIT, PLATFORM_SPEED_LIMIT)
+    vel = np.minimum(np.maximum(vel, -PLATFORM_SPEED_LIMIT), PLATFORM_SPEED_LIMIT)
     return PlatformState(pos, vel, half_extent)

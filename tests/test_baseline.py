@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from padlander.baseline import (
+    _ESTIMATOR_ROW,
     EkfState,
     FilterDivergenceError,
     PidController,
@@ -16,6 +17,28 @@ from padlander.baseline import (
 from padlander.dynamics import DroneState
 from padlander.environment import EnvConfig, LandingEnv, Terminal
 from padlander.scenario import ScenarioKind, ScenarioSpec
+
+
+def ekf_update_by_reference(state, z):
+    """The update with the SVD-based np.linalg.cond guard."""
+    innovation = z - state.x[:3]
+    s = state.P[:3, :3] + state.R_meas
+    if np.linalg.cond(s) > 1e12:
+        raise FilterDivergenceError("innovation covariance numerically singular")
+    k = state.P[:, :3] @ np.linalg.inv(s)
+    x = state.x + k @ innovation
+    i_kh = np.eye(6)
+    i_kh[:, :3] -= k
+    p = i_kh @ state.P
+    return EkfState(x, 0.5 * (p + p.T), state.Q, state.R_meas, state.A)
+
+
+def ekf_with_innovation_covariance(diag):
+    """An EKF whose innovation covariance P[:3, :3] + R is diag(diag)."""
+    ekf = EkfState.create(0.1)
+    ekf.P[:] = 0.0
+    ekf.R_meas[:] = np.diag(diag)
+    return ekf
 
 
 class TestMatrices:
@@ -80,6 +103,44 @@ class TestEkf:
         with pytest.raises(FilterDivergenceError):
             ekf_update(ekf, np.zeros(3))
 
+    def test_update_matches_cond_guarded_reference(self):
+        rng = np.random.default_rng(4)
+        ekf = EkfState.create(1.0 / 30.0, x0=rng.normal(size=6))
+        for _ in range(300):
+            ekf = ekf_predict(ekf)
+            z = rng.normal(size=3)
+            got, ref = ekf_update(ekf, z), ekf_update_by_reference(ekf, z)
+            assert np.array_equal(got.x, ref.x) and np.array_equal(got.P, ref.P)
+            ekf = got
+
+    def test_divergence_guard_at_the_condition_bound(self):
+        # cond(diag(1, 1, e)) = 1 / e exactly
+        with pytest.raises(FilterDivergenceError, match="singular"):
+            ekf_update(ekf_with_innovation_covariance([1.0, 1.0, 1e-12 / 1.001]), np.zeros(3))
+        with pytest.raises(FilterDivergenceError, match="singular"):
+            ekf_update(ekf_with_innovation_covariance([0.0, 0.0, 0.0]), np.zeros(3))
+        with pytest.raises(FilterDivergenceError, match="singular"):
+            ekf_update(ekf_with_innovation_covariance([1.0, -1.0, 0.0]), np.zeros(3))
+        below = ekf_with_innovation_covariance([1.0, 1.0, 1e-12 * 1.001])
+        assert np.linalg.cond(below.P[:3, :3] + below.R_meas) < 1e12
+        ekf_update(below, np.zeros(3))
+
+    @pytest.mark.parametrize("where", [(0, 0), (1, 2), (5, 5), (4, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_is_divergence(self, where, bad):
+        ekf = EkfState.create(0.1)
+        ekf.P[where] = bad
+        with pytest.raises(FilterDivergenceError, match="covariance P"):
+            ekf_update(ekf, np.zeros(3))
+
+    def test_estimator_row_format_matches_fstring_join(self):
+        rng = np.random.default_rng(9)
+        vectors = [rng.normal(size=6) * 10.0 ** rng.uniform(-12, 12, 6) for _ in range(500)]
+        vectors.append(np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]))
+        vectors.append(np.array([1e16, -1e-16, 0.1, 123456789.0, 1234567890123.0, 1.0 / 3.0]))
+        for v in vectors:
+            assert _ESTIMATOR_ROW % tuple(v.tolist()) == ",".join(f"{x:.9g}" for x in v)
+
     def test_bad_measurement_rejected(self):
         ekf = EkfState.create(0.1)
         with pytest.raises(ValueError):
@@ -123,6 +184,29 @@ class TestPid:
         for _ in range(1000):
             pid.command(state, np.array([1.0, 0.0, 0.0]), 0.1)
         assert state.integral[0] == pytest.approx(pid.integral_clamp)
+
+    @pytest.mark.parametrize("field", ["integral_clamp", "output_clamp"])
+    @pytest.mark.parametrize("value", [0.0, -0.1, float("nan")])
+    def test_clamps_must_be_positive(self, field, value):
+        with pytest.raises(ValueError, match="positive"):
+            PidController(**{field: value})
+
+    def test_clamps_match_np_clip(self):
+        pid = PidController(integral_clamp=0.02)
+        ref_pid = PidController(integral_clamp=0.02)
+        rng = np.random.default_rng(12)
+        state, ref, dt = PidState(), PidState(), 1.0 / 30.0
+        for _ in range(500):
+            error = rng.normal(size=3) * 10.0 ** rng.uniform(-3, 1)
+            error[rng.uniform(size=3) < 0.1] = 0.0
+            got = pid.command(state, error, dt)
+            # the same law, clamped with np.clip
+            ref.integral = np.clip(ref.integral + error * dt, -0.02, 0.02)
+            derivative = np.zeros(3) if ref.prev_error is None else (error - ref.prev_error) / dt
+            ref.prev_error = error.copy()
+            want = np.clip(ref_pid.kp * error + ref_pid.ki * ref.integral + ref_pid.kd * derivative, -0.1, 0.1)
+            assert got.tobytes() == want.tobytes()
+            assert state.integral.tobytes() == ref.integral.tobytes()
 
     def test_fresh_state_has_no_history(self):
         pid = PidController()

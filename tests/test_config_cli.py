@@ -23,12 +23,10 @@ drone.a_max = 10
 drone.gravity = 9.81
 drone.kp_pos = 4
 drone.mass = 0.027
-drone.physics_dt = 0.00416666667
 drone.tau_v = 0.25
 scenario_params.curve_radius = 0.5
 scenario_params.direction_change_period = 3
 scenario_params.initial_heading = 0
-scenario_params.seed = 0
 scenario_params.speed = 0.3
 scenario_params.vertical_amplitude = 0.2
 reward.alpha = 5
@@ -51,7 +49,6 @@ env.physics_hz = 240
 env.spawn_alt_max = 1.5
 env.spawn_alt_min = 0.5
 env.spawn_radius = 1.5
-env.touchdown_lateral = 0.25
 env.touchdown_speed = 0.5
 env.touchdown_vertical = 0.05
 env.wind_bound = 0.005
@@ -108,10 +105,18 @@ class TestConfigParsing:
             apply_item(RunConfig(), "reward.does_not_exist", "1")
         with pytest.raises(ConfigError):
             apply_item(RunConfig(), "nosuchsection.alpha", "1")
+        # deleted: touchdown uses the pad's half extent, the substep is 1 / env.physics_hz
+        for key in ("env.touchdown_lateral", "drone.physics_dt"):
+            with pytest.raises(ConfigError, match="unknown"):
+                apply_item(RunConfig(), key, "0.5")
 
     def test_scenario_kind_blocked_in_section(self):
         with pytest.raises(ConfigError, match="scenario"):
             apply_item(RunConfig(), "scenario_params.kind", "LMPL")
+
+    def test_scenario_seed_blocked_in_section(self):
+        with pytest.raises(ConfigError, match="seed"):
+            apply_item(RunConfig(), "scenario_params.seed", "3")
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="td3.batch_size"):
@@ -198,6 +203,7 @@ class TestCliExitCodes:
     def test_bad_override_is_usage_error(self):
         assert main(["config-dump", "-o", "reward.alpha=sideways"]) == 2
         assert main(["config-dump", "-o", "no_equals_sign"]) == 2
+        assert main(["config-dump", "-o", "pid.output_clamp=0"]) == 2
 
 
 class TestCliCommands:
@@ -282,6 +288,20 @@ class TestCliCommands:
             assert rc == 0
             trials[name] = (tmp_path / name / "benchmark_s3" / "trials.csv").read_text()
         assert trials["default"] != trials["kd"]
+
+    def test_benchmark_applies_drone_and_scenario_overrides(self, tmp_path):
+        trials = {}
+        for name, extra in (("default", []), ("kp", ["-o", "drone.kp_pos=1.0"]),
+                            ("speed", ["-o", "scenario_params.speed=0.1"])):
+            rc = main([
+                "benchmark", "--baseline", "--scenario", "LMPL", "--trials", "2",
+                "--seed", "3", "-o", f"outdir={tmp_path / name}", *extra,
+            ])
+            assert rc == 0
+            trials[name] = (tmp_path / name / "benchmark_s3" / "trials.csv").read_text()
+        assert trials["kp"] != trials["default"]
+        assert trials["speed"] != trials["default"]
+        assert trials["speed"] != trials["kp"]
 
     def test_replay_summary_and_downsample(self, tmp_path, capsys):
         bench_dir = tmp_path / "bench"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,82 @@ from padlander.dynamics import (
     StateCorruptionError,
     apply_setpoint_delta,
     step_drone,
+    step_drone_many,
 )
 
 DT = 1.0 / 240.0
+
+
+def step_by_reference(state, params, force, dt, n_substeps):
+    """The substep loop with atan2 on every substep and min(max()) clamps."""
+    px, py, pz = (float(c) for c in state.position)
+    vx, vy, vz = (float(c) for c in state.velocity)
+    roll, pitch = float(state.attitude[0]), float(state.attitude[1])
+    spx, spy, spz = (float(c) for c in state.setpoint)
+    ex, ey, ez = (float(c) for c in params.vel_envelope)
+    fax, fay, faz = (float(c) / params.mass for c in force)
+    kp, inv_tau, a_max, g = params.kp_pos, 1.0 / params.tau_v, params.a_max, params.gravity
+    for _ in range(n_substeps):
+        vcx = min(max(kp * (spx - px), -ex), ex)
+        vcy = min(max(kp * (spy - py), -ey), ey)
+        vcz = min(max(kp * (spz - pz), -ez), ez)
+        ax = (vcx - vx) * inv_tau
+        ay = (vcy - vy) * inv_tau
+        az = (vcz - vz) * inv_tau
+        norm = math.sqrt(ax * ax + ay * ay + az * az)
+        if norm > a_max:
+            scale = a_max / norm
+            ax *= scale
+            ay *= scale
+            az *= scale
+        prev_roll, prev_pitch = roll, pitch
+        pitch = math.atan2(ax, g)
+        roll = math.atan2(-ay, g)
+        vx = min(max(vx + (ax + fax) * dt, -ex), ex)
+        vy = min(max(vy + (ay + fay) * dt, -ey), ey)
+        vz = min(max(vz + (az + faz) * dt, -ez), ez)
+        px += vx * dt
+        py += vy * dt
+        pz += vz * dt
+    return DroneState(
+        np.array([px, py, pz]),
+        np.array([vx, vy, vz]),
+        np.array([roll, pitch, 0.0]),
+        np.array([(roll - prev_roll) / dt, (pitch - prev_pitch) / dt, 0.0]),
+        state.setpoint.copy(),
+    )
+
+
+FIELDS = ("position", "velocity", "attitude", "angular_velocity", "setpoint")
+
+
+@pytest.mark.parametrize("n_substeps", [1, 2, 8])
+def test_substep_loop_matches_every_substep_reference(n_substeps):
+    rng = np.random.default_rng(n_substeps)
+    cases = [
+        # envelope-clamped: moving at the velocity limit toward a far setpoint
+        (DroneState(np.zeros(3), np.array([3.0, -3.0, 2.0]), np.array([0.1, -0.2, 0.0]), np.zeros(3),
+                    np.array([20.0, -20.0, 20.0])), DroneParams()),
+        # a_max-saturated: a large setpoint error against a low acceleration cap
+        (DroneState(np.array([0.5, 0.5, 1.0]), np.array([-1.0, 0.5, 0.0]), np.zeros(3), np.zeros(3),
+                    np.array([-4.0, 3.0, -2.0])), DroneParams(a_max=2.0)),
+        # both at once, with a stiff setpoint gain
+        (DroneState(np.zeros(3), np.array([-3.0, 3.0, -2.0]), np.zeros(3), np.zeros(3),
+                    np.array([9.0, -9.0, 9.0])), DroneParams(kp_pos=40.0, a_max=1.0)),
+    ]
+    for _ in range(40):
+        cases.append((
+            DroneState(rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3) * [1, 1, 2 / 3], rng.uniform(-0.5, 0.5, 3),
+                       np.zeros(3), rng.uniform(-2, 2, 3)),
+            DroneParams(a_max=float(rng.uniform(0.5, 20.0))),
+        ))
+    for state, params in cases:
+        for force in (np.zeros(3), rng.uniform(-0.005, 0.005, 3)):
+            got = step_drone_many(state, params, force, DT, n_substeps)
+            ref = step_by_reference(state, params, force, DT, n_substeps)
+            for f in FIELDS:
+                a, b = getattr(got, f), getattr(ref, f)
+                assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), (f, n_substeps)
 
 
 def test_equilibrium_is_a_fixpoint():

@@ -7,6 +7,7 @@ from padlander.environment import (
     EnvConfig,
     EpisodeOverError,
     LandingEnv,
+    StepOutcome,
     Terminal,
     build_observation,
     scenario_from_name,
@@ -202,6 +203,28 @@ class TestTrace:
         first = lines[1].split(",")
         assert len(first) == len(TRACE_COLUMNS.split(","))
         assert first[-1] == "None"
+
+    def test_trace_row_matches_fstring_join(self):
+        def by_fstring(outcome):
+            i = outcome.info
+            d, p = i["drone"], i["pad"]
+            vals = [i["t"], *d.position, *d.velocity, *d.attitude, *i["action"], *p.position, *p.velocity,
+                    *i["wind_force"], outcome.reward.total]
+            return ",".join(f"{v:.9g}" for v in vals) + f",{outcome.terminal.value}"
+
+        env = make_env(ScenarioKind.CTL, wind_p_episode=1.0, wind_p_step=0.5)
+        env.reset(4)
+        rng = np.random.default_rng(4)
+        outs = []
+        while not outs or outs[-1].terminal is Terminal.NONE:
+            outs.append(env.step(rng.uniform(-1, 1, 3)))
+        # values a rollout rarely shows: signed zeros, non-finite, subnormal, huge
+        odd = np.array([-0.0, np.nan, np.inf])
+        drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3), np.zeros(3))
+        info = dict(outs[0].info, drone=drone, action=np.array([1.0, -1.0, -0.0]), t=1.0 / 3.0)
+        outs.append(StepOutcome(outs[0].observation, outs[0].reward, Terminal.CRASH, info))
+        for out in outs:
+            assert trace_row(out) == by_fstring(out)
 
     def test_scenario_from_name(self):
         assert scenario_from_name("spl") is ScenarioKind.SPL

@@ -155,6 +155,18 @@ class TestRunBenchmark:
         assert r.groups[0].successes == 0
         assert list(tmp_path.iterdir()) == []  # no outcomes, no trace
 
+    def test_non_finite_covariance_is_a_crash_trial(self, monkeypatch):
+        predict = baseline.ekf_predict
+
+        def poisoned(state):
+            out = predict(state)
+            out.P[4, 4] = np.nan
+            return out
+
+        monkeypatch.setattr(baseline, "ekf_predict", poisoned)
+        r = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=2, seed=0)
+        assert [t.terminal for t in r.trials] == [Terminal.CRASH, Terminal.CRASH]
+
     def test_traces_persisted(self, tmp_path):
         trace_dir = tmp_path / "traces"
         run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=2,

@@ -5,14 +5,37 @@ import pytest
 
 from padlander.rng import substream
 from padlander.scenario import (
+    LMPL_SEGMENT_CACHE,
     PLATFORM_SPEED_LIMIT,
     ScenarioKind,
     ScenarioSpec,
     _arc_angle,
+    _lmpl_segment,
+    _segment_heading,
     init_wind,
     platform_at,
     sample_wind_step,
 )
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bit equality: unlike np.array_equal, tells -0.0 from 0.0."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def lmpl_by_loop(spec: ScenarioSpec, t: float):
+    """The O(k) per-call LMPL integral: every past segment re-derived and summed."""
+    period = spec.direction_change_period
+    k = int(t // period)
+    pos = np.zeros(3)
+    for j in range(k):
+        phi = _segment_heading(spec, j)
+        pos += spec.speed * period * np.array([math.cos(phi), math.sin(phi), 0.0])
+    phi = _segment_heading(spec, k)
+    direction = np.array([math.cos(phi), math.sin(phi), 0.0])
+    pos += spec.speed * (t - k * period) * direction
+    vel = np.clip(spec.speed * direction, -PLATFORM_SPEED_LIMIT, PLATFORM_SPEED_LIMIT)
+    return pos, vel
 
 
 def find_seed(predicate, limit=1000):
@@ -92,6 +115,38 @@ class TestPlatform:
                 theta += ((-1) ** j) * omega * period
             theta += ((-1) ** k) * omega * (t - k * period)
             assert _arc_angle(spec, float(t)) == (theta, ((-1) ** k) * omega)
+
+    def test_lmpl_table_matches_per_call_loop(self):
+        # the cached segment table must give the loop's bits, segment
+        # boundaries included, whatever order the times are asked in
+        ts = np.concatenate([np.linspace(0.0, 20.0, 161), np.arange(0.0, 21.0, 3.0), np.arange(0.0, 21.0, 0.7)])
+        for seed in (0, 123456, 2**31 - 2):
+            for speed, period in ((0.3, 3.0), (0.1, 3.0), (0.46, 0.7), (0.0, 3.0)):
+                spec = ScenarioSpec(ScenarioKind.LMPL, seed=seed, speed=speed, direction_change_period=period,
+                                    initial_heading=0.4)
+                for t in np.concatenate([ts, ts[::-1]]):
+                    got = platform_at(spec, float(t))
+                    pos, vel = lmpl_by_loop(spec, float(t))
+                    assert same_bits(got.position, pos) and same_bits(got.velocity, vel), (seed, speed, t)
+
+    def test_lmpl_zero_heading_sign_survives_the_cache(self):
+        # the two specs compare equal, but sin() gives -0.0 for one of them
+        for heading in (0.0, -0.0, 0.0):
+            spec = ScenarioSpec(ScenarioKind.LMPL, seed=8, initial_heading=heading)
+            for t in (0.0, 1.0, 3.5, 7.25):
+                got = platform_at(spec, t)
+                pos, vel = lmpl_by_loop(spec, t)
+                assert same_bits(got.position, pos) and same_bits(got.velocity, vel), (heading, t)
+
+    def test_lmpl_cache_bounded_and_hands_out_fresh_arrays(self):
+        assert _lmpl_segment.cache_info().maxsize == LMPL_SEGMENT_CACHE
+        spec = ScenarioSpec(ScenarioKind.LMPL, seed=77)
+        first = platform_at(spec, 7.0)
+        first.position[:] = 99.0
+        first.velocity[:] = 99.0
+        again = platform_at(spec, 7.0)
+        pos, vel = lmpl_by_loop(spec, 7.0)
+        assert same_bits(again.position, pos) and same_bits(again.velocity, vel)
 
     def test_spl_static(self):
         spec = ScenarioSpec(ScenarioKind.SPL)
