@@ -51,10 +51,11 @@ while terminal is Terminal.NONE:
     terminal = out.terminal
     step += 1
     if step % 60 == 0 or terminal is not Terminal.NONE:
+        d = np.linalg.norm(out.pad.position - out.drone.position)
         print(
-            f"t={out.info['t']:5.2f}s  d={out.info['distance']:.3f} m  "
+            f"t={out.t:5.2f}s  d={d:.3f} m  "
             f"case={out.reward.case_id.value:<4}  r={out.reward.total:+.3f}  "
-            f"wind={'on ' if out.info['episode_windy'] else 'off'}  {terminal.value}"
+            f"wind={np.linalg.norm(out.wind_force) * 1000:.1f} mN  {terminal.value}"
         )
 
 print(f"\nterminal: {terminal.value} after {step} steps, return {total_reward:+.2f}")

@@ -39,12 +39,12 @@ ep = run_baseline_episode(env, seed=3)
 for k in range(0, len(ep.outcomes), 20):
     out = ep.outcomes[k]
     est = np.array([float(v) for v in ep.estimator_rows[k].split(",")[:3]])
-    err = np.linalg.norm(est - out.info["pad"].position)
-    print(f"t={out.info['t']:5.2f}s  altitude={out.info['drone'].position[2]:+.3f} m  "
+    err = np.linalg.norm(est - out.pad.position)
+    print(f"t={out.t:5.2f}s  altitude={out.drone.position[2]:+.3f} m  "
           f"estimate error={err * 1000:6.2f} mm")
 last = ep.outcomes[-1]
-rel = last.info["rel_pos"]
-print(f"\n{ep.terminal.value} at t={last.info['t']:.2f}s, "
+rel = last.drone.position - last.pad.position
+print(f"\n{last.terminal.value} at t={last.t:.2f}s, "
       f"lateral error {np.hypot(rel[0], rel[1]) * 100:.1f} cm")
 
 # %% [markdown]

@@ -11,7 +11,7 @@ Kalman special case; the "extended" naming of the source design is kept.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -153,9 +153,8 @@ def pursuit_command(
 
 @dataclass
 class BaselineEpisode:
-    outcomes: list
+    outcomes: List[StepOutcome]
     estimator_rows: list  # per-step "est_x,...,est_vz" strings
-    terminal: Terminal
 
 
 ESTIMATOR_COLUMNS = "est_x,est_y,est_z,est_vx,est_vy,est_vz"
@@ -189,10 +188,10 @@ def run_baseline_episode(
         ekf = ekf_predict(ekf)
         delta, approach_offset = pursuit_command(ekf, drone, pid, pid_state, approach_offset, dt, cfg)
         out = env.step(delta / env.cfg.action_scale)
-        drone = out.info["drone"]
-        z = out.info["pad"].position + meas_rng.normal(0.0, cfg.measurement_sigma, size=3)
+        drone = out.drone
+        z = out.pad.position + meas_rng.normal(0.0, cfg.measurement_sigma, size=3)
         ekf = ekf_update(ekf, z)
         outcomes.append(out)
         est_rows.append(_ESTIMATOR_ROW % tuple(ekf.x.tolist()))
         terminal = out.terminal
-    return BaselineEpisode(outcomes, est_rows, terminal)
+    return BaselineEpisode(outcomes, est_rows)

@@ -71,6 +71,8 @@ class DroneParams:
     def __post_init__(self):
         if self.mass <= 0 or self.tau_v <= 0:
             raise ValueError("mass and tau_v must be positive")
+        if not self.a_max > 0:  # a non-positive clamp reverses the commanded acceleration
+            raise ValueError("a_max must be positive")
 
 
 def step_drone_many(

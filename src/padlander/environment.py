@@ -23,7 +23,6 @@ from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
 from padlander.scenario import (
     PlatformState,
-    ScenarioKind,
     ScenarioSpec,
     WindState,
     init_wind,
@@ -79,10 +78,20 @@ class EnvConfig:
     wind_enabled: bool = True
 
     def __post_init__(self):
+        # Written as `not (ok)` so that NaN fails each check.
+        if not (self.control_hz > 0 and self.physics_hz > 0):
+            raise ValueError("control_hz and physics_hz must be positive")
         if self.physics_hz % self.control_hz != 0:
             raise ValueError("physics_hz must be an integer multiple of control_hz")
-        if self.action_scale <= 0:
+        if not self.action_scale > 0:
             raise ValueError("action_scale must be positive")
+        # _spawn rejection-samples the spawn hemisphere; a band it cannot hit never returns.
+        if not (0.0 <= self.spawn_alt_min < self.spawn_alt_max and self.spawn_alt_min < self.spawn_radius):
+            raise ValueError("need 0 <= spawn_alt_min < spawn_alt_max and spawn_alt_min < spawn_radius")
+        if not (0.0 <= self.wind_p_episode <= 1.0 and 0.0 <= self.wind_p_step <= 1.0):
+            raise ValueError("wind probabilities must be in [0, 1]")
+        if not self.wind_bound >= 0.0:
+            raise ValueError("wind_bound must be non-negative")
 
 
 def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> np.ndarray:
@@ -102,12 +111,18 @@ def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> 
     return np.minimum(np.maximum(raw, -bounds), bounds) / bounds
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepOutcome:
+    """What one control step produced; t, drone and pad are post-step."""
+
     observation: np.ndarray
     reward: RewardBreakdown
     terminal: Terminal
-    info: dict
+    t: float  # s since reset
+    drone: DroneState
+    pad: PlatformState
+    action: np.ndarray  # the clamped normalized action that was applied
+    wind_force: np.ndarray  # N, applied during this step
 
 
 class LandingEnv:
@@ -217,7 +232,7 @@ class LandingEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != (3,):
             raise ActionRangeError(f"action must be a 3-vector, got shape {a.shape}")
-        if np.abs(a).max() > 1.0 + 1e-6:
+        if not np.abs(a).max() <= 1.0 + 1e-6:  # NaN fails this too
             raise ActionRangeError(f"action {a} outside [-1, 1]")
         a = np.minimum(np.maximum(a, -1.0), 1.0)
 
@@ -241,20 +256,8 @@ class LandingEnv:
 
         self._terminal = self._classify(rel_xyz, rel_v.tolist(), pad.half_extent, self._t)
         self._drone = drone
-
-        info = {
-            "t": self._t,
-            "step": self._step_count,
-            "drone": drone,
-            "pad": pad,
-            "wind_force": self._wind.force.copy(),
-            "episode_windy": self._wind.episode_windy,
-            "distance": d,
-            "rel_pos": rel,
-            "rel_vel": rel_v,
-            "action": a,
-        }
-        return StepOutcome(build_observation(drone, pad, self.cfg), reward, self._terminal, info)
+        observation = build_observation(drone, pad, self.cfg)
+        return StepOutcome(observation, reward, self._terminal, self._t, drone, pad, a, self._wind.force)
 
 
 TRACE_COLUMNS = (
@@ -269,18 +272,17 @@ _TRACE_ROW = "%.9g," * TRACE_COLUMNS.count(",") + "%s"
 
 def trace_row(outcome: StepOutcome) -> str:
     """One trace CSV row for a step outcome."""
-    i = outcome.info
-    d: DroneState = i["drone"]
-    p = i["pad"]
+    d = outcome.drone
+    p = outcome.pad
     return _TRACE_ROW % (
-        i["t"],
+        outcome.t,
         *d.position.tolist(),
         *d.velocity.tolist(),
         *d.attitude.tolist(),
-        *i["action"].tolist(),
+        *outcome.action.tolist(),
         *p.position.tolist(),
         *p.velocity.tolist(),
-        *i["wind_force"].tolist(),
+        *outcome.wind_force.tolist(),
         outcome.reward.total,
         outcome.terminal.value,
     )
@@ -297,10 +299,3 @@ def write_trace(path, outcomes, extra_header: str = "", extra_rows=None) -> None
                 row += "," + extra_rows[k]
             fh.write(row + "\n")
 
-
-def scenario_from_name(name: str) -> ScenarioKind:
-    try:
-        return ScenarioKind[name.upper()]
-    except KeyError:
-        valid = ", ".join(k.name for k in ScenarioKind)
-        raise ValueError(f"unknown scenario {name!r}; valid: {valid}") from None

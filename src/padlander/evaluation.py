@@ -33,7 +33,7 @@ from padlander.environment import ActionRangeError, EnvConfig, LandingEnv, Termi
 from padlander.reward import RewardConfig
 from padlander.rng import substream
 from padlander.scenario import ScenarioKind, ScenarioSpec
-from padlander.td3 import Td3Learner
+from padlander.td3 import Td3Learner, run_agent_episode
 
 
 # A controller that hits one of these ends its trial as a Crash; any other
@@ -93,17 +93,6 @@ def velocity_correlation(drone_speeds: Sequence[float], pad_speeds: Sequence[flo
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _run_agent_episode(env: LandingEnv, learner: Td3Learner, seed: int):
-    obs = env.reset(seed)
-    outcomes = []
-    while True:
-        out = env.step(learner.act(obs))
-        obs = out.observation
-        outcomes.append(out)
-        if out.terminal is not Terminal.NONE:
-            return outcomes
-
-
 def _norm(v: np.ndarray) -> float:
     """np.linalg.norm of a real vector, sqrt(v . v), without its dispatch."""
     return math.sqrt(v.dot(v))
@@ -113,10 +102,10 @@ def _trial_from_outcomes(scenario, controller, seed, outcomes, wind: bool) -> Tr
     last = outcomes[-1]
     lateral = None
     if last.terminal is Terminal.TOUCHDOWN:
-        rel = last.info["rel_pos"]
+        rel = last.drone.position - last.pad.position
         lateral = float(np.hypot(rel[0], rel[1]))
-    drone_speeds = [_norm(o.info["drone"].velocity) for o in outcomes]
-    pad_speeds = [_norm(o.info["pad"].velocity) for o in outcomes]
+    drone_speeds = [_norm(o.drone.velocity) for o in outcomes]
+    pad_speeds = [_norm(o.pad.velocity) for o in outcomes]
     corr = velocity_correlation(drone_speeds, pad_speeds) if len(outcomes) >= 2 else None
     return TrialResult(
         scenario=scenario,
@@ -124,7 +113,7 @@ def _trial_from_outcomes(scenario, controller, seed, outcomes, wind: bool) -> Tr
         seed=seed,
         terminal=last.terminal,
         touchdown_lateral_error=lateral,
-        duration=last.info["t"],
+        duration=last.t,
         velocity_correlation=corr,
         wind_enabled=wind,
     )
@@ -203,7 +192,7 @@ def run_benchmark(
                 est_rows = None
                 try:
                     if controller is Controller.AGENT:
-                        outcomes = _run_agent_episode(env, learner, trial_seed)
+                        outcomes = run_agent_episode(learner, env, trial_seed)
                     else:
                         ep = run_baseline_episode(env, trial_seed, pursuit, pid)
                         outcomes, est_rows = ep.outcomes, ep.estimator_rows

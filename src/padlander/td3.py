@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from padlander.environment import LandingEnv, Terminal
+from padlander.environment import LandingEnv, StepOutcome, Terminal
 from padlander.mlp import Adam, Mlp
 from padlander.rng import substream
 
@@ -97,17 +97,15 @@ class Td3Learner:
         seed: int = 0,
         obs_dim: int = OBS_DIM,
         action_dim: int = ACTION_DIM,
-        dtype=np.float32,
     ):
         self.hp = hp or Td3Hyperparams()
         self.obs_dim = obs_dim
         self.action_dim = action_dim
-        self.dtype = dtype
         hidden = list(self.hp.hidden_dims)
         init_rng = substream(seed, "net-init")
-        self.actor = Mlp([obs_dim] + hidden + [action_dim], "tanh", init_rng, dtype)
-        self.critic1 = Mlp([obs_dim + action_dim] + hidden + [1], "linear", init_rng, dtype)
-        self.critic2 = Mlp([obs_dim + action_dim] + hidden + [1], "linear", init_rng, dtype)
+        self.actor = Mlp([obs_dim] + hidden + [action_dim], "tanh", init_rng)
+        self.critic1 = Mlp([obs_dim + action_dim] + hidden + [1], "linear", init_rng)
+        self.critic2 = Mlp([obs_dim + action_dim] + hidden + [1], "linear", init_rng)
         self.target_actor = self.actor.copy()
         self.target_critic1 = self.critic1.copy()
         self.target_critic2 = self.critic2.copy()
@@ -121,7 +119,7 @@ class Td3Learner:
     # -- acting ----------------------------------------------------------
 
     def act(self, obs: np.ndarray, noise_sigma: float = 0.0, rng: Optional[np.random.Generator] = None):
-        a = self.actor.forward(np.asarray(obs, dtype=self.dtype))
+        a = self.actor.forward(np.asarray(obs, dtype=np.float32))
         if noise_sigma > 0.0:
             a = a + rng.normal(0.0, noise_sigma, size=self.action_dim)
         return np.clip(a, -1.0, 1.0)
@@ -138,7 +136,7 @@ class Td3Learner:
         noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
         next_actions = np.clip(self.target_actor.forward(next_obs) + noise, -1.0, 1.0)
 
-        next_in = np.concatenate([next_obs, next_actions.astype(self.dtype)], axis=1)
+        next_in = np.concatenate([next_obs, next_actions.astype(np.float32)], axis=1)
         q1_t = self.target_critic1.forward(next_in)[:, 0]
         q2_t = self.target_critic2.forward(next_in)[:, 0]
         y = rewards + hp.discount * (1.0 - terminals) * np.minimum(q1_t, q2_t)
@@ -162,10 +160,10 @@ class Td3Learner:
         self.n_updates += 1
         if self.n_updates % hp.policy_delay == 0:
             pi = self.actor.forward(obs)
-            actor_in = np.concatenate([obs, pi.astype(self.dtype)], axis=1)
+            actor_in = np.concatenate([obs, pi.astype(np.float32)], axis=1)
             self.critic1.forward(actor_in)
             # Ascend Q1: minimize -mean(Q1(s, pi(s))). Only dQ1/da is needed.
-            up = np.full((b, 1), -1.0 / b, dtype=self.dtype)
+            up = np.full((b, 1), -1.0 / b, dtype=np.float32)
             _, d_in = self.critic1.backward(up, need_param_grads=False)
             d_action = d_in[:, self.obs_dim :]
             actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
@@ -317,23 +315,29 @@ class TrainResult:
     episodes: int = 0
 
 
+def run_agent_episode(learner: Td3Learner, env: LandingEnv, seed: int) -> List[StepOutcome]:
+    """One noise-free episode from reset(seed) through its terminal step."""
+    obs = env.reset(seed)
+    outcomes = []
+    while True:
+        out = env.step(learner.act(obs))
+        outcomes.append(out)
+        if out.terminal is not Terminal.NONE:
+            return outcomes
+        obs = out.observation
+
+
 def evaluate_policy(learner: Td3Learner, env: LandingEnv, seeds) -> CurvePoint:
     """Deterministic evaluation episodes; returns aggregate statistics."""
     rewards, lengths, successes = [], [], 0
     for s in seeds:
-        obs = env.reset(int(s))
-        total, steps = 0.0, 0
-        while True:
-            out = env.step(learner.act(obs))
-            obs = out.observation
+        outcomes = run_agent_episode(learner, env, int(s))
+        total = 0.0
+        for out in outcomes:  # in step order: the curve's bits depend on it
             total += out.reward.total
-            steps += 1
-            if out.terminal is not Terminal.NONE:
-                if out.terminal is Terminal.TOUCHDOWN:
-                    successes += 1
-                break
         rewards.append(total)
-        lengths.append(steps)
+        lengths.append(len(outcomes))
+        successes += outcomes[-1].terminal is Terminal.TOUCHDOWN
     return CurvePoint(0, float(np.mean(rewards)), float(np.mean(lengths)), successes / len(seeds))
 
 

@@ -257,8 +257,9 @@ class TestClosedLoop:
     def test_static_pad_touchdown(self):
         env = LandingEnv(ScenarioSpec(ScenarioKind.SPL), EnvConfig(wind_enabled=False))
         ep = run_baseline_episode(env, seed=3)
-        assert ep.terminal is Terminal.TOUCHDOWN
-        rel = ep.outcomes[-1].info["rel_pos"]
+        last = ep.outcomes[-1]
+        assert last.terminal is Terminal.TOUCHDOWN
+        rel = last.drone.position - last.pad.position
         assert float(np.hypot(rel[0], rel[1])) < 0.15
 
     def test_estimator_rows_align_with_outcomes(self):
@@ -271,7 +272,7 @@ class TestClosedLoop:
         env = LandingEnv(ScenarioSpec(ScenarioKind.LMPL), EnvConfig())
         a = run_baseline_episode(env, seed=11)
         b = run_baseline_episode(env, seed=11)
-        assert a.terminal is b.terminal
+        assert a.outcomes[-1].terminal is b.outcomes[-1].terminal
         assert len(a.outcomes) == len(b.outcomes)
         assert a.estimator_rows == b.estimator_rows
 
@@ -282,6 +283,6 @@ class TestClosedLoop:
         errs = []
         for row, out in zip(ep.estimator_rows, ep.outcomes):
             est_v = np.array([float(v) for v in row.split(",")[3:]])
-            errs.append(np.max(np.abs(est_v - out.info["pad"].velocity)))
+            errs.append(np.max(np.abs(est_v - out.pad.velocity)))
         # transients right after direction changes are large; typical steps track
         assert float(np.median(errs)) < 0.1

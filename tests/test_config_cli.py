@@ -205,6 +205,23 @@ class TestCliExitCodes:
         assert main(["config-dump", "-o", "no_equals_sign"]) == 2
         assert main(["config-dump", "-o", "pid.output_clamp=0"]) == 2
 
+    # Each of these used to hang, fail only at runtime, or run quietly wrong.
+    @pytest.mark.parametrize("item", [
+        "env.spawn_alt_min=5",
+        "env.spawn_alt_max=0.5",
+        "env.spawn_alt_min=-0.1",
+        "env.spawn_radius=0.4",
+        "env.control_hz=0",
+        "env.physics_hz=0",
+        "env.wind_p_episode=2",
+        "env.wind_p_step=nan",
+        "env.wind_bound=-1",
+        "drone.a_max=-1",
+    ])
+    def test_unusable_value_is_usage_error_naming_key(self, item, capsys):
+        assert main(["config-dump", "-o", item]) == 2
+        assert item.partition("=")[0] in capsys.readouterr().err
+
 
 class TestCliCommands:
     def test_config_dump_applies_overrides(self, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, fields, replace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from padlander.environment import (
     StepOutcome,
     Terminal,
     build_observation,
-    scenario_from_name,
     trace_row,
     write_trace,
     TRACE_COLUMNS,
@@ -101,8 +102,8 @@ class TestStep:
             if out.terminal is not Terminal.NONE:
                 break
         assert out.terminal is Terminal.TIMEOUT
-        assert out.info["step"] == 600
-        assert out.info["t"] == pytest.approx(20.0)
+        assert i + 1 == 600
+        assert out.t == pytest.approx(20.0)
 
     def test_stepping_terminal_episode_rejected(self):
         env = make_env()
@@ -120,6 +121,25 @@ class TestStep:
         # marginally outside is clipped, not rejected
         env.step(np.array([1.0 + 1e-7, 0.0, 0.0]))
 
+    def test_outcome_is_a_frozen_record(self):
+        env = make_env()
+        env.reset(0)
+        out = env.step(np.array([1.0 + 1e-7, -0.5, 0.0]))
+        names = [f.name for f in fields(StepOutcome)]
+        assert names == ["observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force"]
+        assert np.array_equal(out.action, [1.0, -0.5, 0.0])  # the clamped action
+        assert out.drone is env.drone
+        assert out.t == env.control_dt
+        with pytest.raises(FrozenInstanceError):
+            out.t = 0.0
+
+    @pytest.mark.parametrize("action", [[np.nan, 5.0, 0.0], [np.nan, 0.0, 0.0]])
+    def test_nan_action_is_range_error(self, action):
+        env = make_env()
+        env.reset(0)
+        with pytest.raises(ActionRangeError, match="nan"):
+            env.step(np.array(action))
+
     def test_scripted_descent_touches_down(self):
         # Open-loop proportional descent onto the static pad center.
         env = make_env()
@@ -134,7 +154,7 @@ class TestStep:
             if out.terminal is not Terminal.NONE:
                 break
         assert out.terminal is Terminal.TOUCHDOWN
-        rel = out.info["rel_pos"]
+        rel = out.drone.position - out.pad.position
         assert np.hypot(rel[0], rel[1]) < 0.25
 
     def test_full_episode_determinism(self):
@@ -164,8 +184,8 @@ class TestStep:
         env.reset(9)
         for _ in range(50):
             out = env.step(np.zeros(3))
-        expected = platform_at(env.episode_spec, out.info["t"])
-        assert np.array_equal(out.info["pad"].position, expected.position)
+        expected = platform_at(env.episode_spec, out.t)
+        assert np.array_equal(out.pad.position, expected.position)
 
     def test_terminal_exclusivity_random_policy(self):
         rng = np.random.default_rng(31)
@@ -185,7 +205,7 @@ class TestStep:
         env.reset(2)
         for _ in range(100):
             out = env.step(np.zeros(3))
-            assert np.array_equal(out.info["wind_force"], np.zeros(3))
+            assert np.array_equal(out.wind_force, np.zeros(3))
 
 
 class TestTrace:
@@ -206,10 +226,9 @@ class TestTrace:
 
     def test_trace_row_matches_fstring_join(self):
         def by_fstring(outcome):
-            i = outcome.info
-            d, p = i["drone"], i["pad"]
-            vals = [i["t"], *d.position, *d.velocity, *d.attitude, *i["action"], *p.position, *p.velocity,
-                    *i["wind_force"], outcome.reward.total]
+            d, p = outcome.drone, outcome.pad
+            vals = [outcome.t, *d.position, *d.velocity, *d.attitude, *outcome.action, *p.position, *p.velocity,
+                    *outcome.wind_force, outcome.reward.total]
             return ",".join(f"{v:.9g}" for v in vals) + f",{outcome.terminal.value}"
 
         env = make_env(ScenarioKind.CTL, wind_p_episode=1.0, wind_p_step=0.5)
@@ -221,12 +240,7 @@ class TestTrace:
         # values a rollout rarely shows: signed zeros, non-finite, subnormal, huge
         odd = np.array([-0.0, np.nan, np.inf])
         drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3), np.zeros(3))
-        info = dict(outs[0].info, drone=drone, action=np.array([1.0, -1.0, -0.0]), t=1.0 / 3.0)
-        outs.append(StepOutcome(outs[0].observation, outs[0].reward, Terminal.CRASH, info))
+        outs.append(replace(outs[0], terminal=Terminal.CRASH, t=1.0 / 3.0, drone=drone,
+                            action=np.array([1.0, -1.0, -0.0])))
         for out in outs:
             assert trace_row(out) == by_fstring(out)
-
-    def test_scenario_from_name(self):
-        assert scenario_from_name("spl") is ScenarioKind.SPL
-        with pytest.raises(ValueError, match="valid"):
-            scenario_from_name("XXL")

@@ -1,4 +1,4 @@
-"""Byte-for-byte pins on the EKF+PID baseline's benchmark output.
+"""Byte-for-byte pins on benchmark output and on a short training run.
 
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
 x86-64). A refactor that claims "same behaviour" must leave them unchanged;
@@ -9,8 +9,10 @@ import hashlib
 
 import pytest
 
+from padlander.environment import LandingEnv
 from padlander.evaluation import Controller, run_benchmark, write_report
-from padlander.scenario import ScenarioKind
+from padlander.scenario import ScenarioKind, ScenarioSpec
+from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint, train, write_curve_csv
 
 GOLDEN = {
     "trials.csv": "c66cb16f8fdd295404d9461b11bca692e4828968bd3a91fa1fea7db001ddd216",
@@ -19,6 +21,25 @@ GOLDEN = {
     "traces/CMPL_EkfPid_00.csv": "d1cb25c200f8b5979dc3f1b7d03cbe3c940fbebd60108d8481a9f324a2ea7422",
     "traces/CTL_EkfPid_00.csv": "5398e014c504db05c980216bec327387b0b053dab58094fbe06fcb1173ffec0c",
 }
+
+# An untrained agent (net-init seed 0) paired with the baseline.
+GOLDEN_AGENT = {
+    "trials.csv": "eeecd38641bb9e8da110090755654465cce7bc46a8a8dc7115f8df6cc2a1cf3d",
+    "traces/SPL_Agent_00.csv": "7a02c933dd69956ab1417976e7ad438cdcd62586ce77076329706792732088f2",
+    "traces/LMPL_Agent_00.csv": "c08a42c905a91ac5b5f1c0f10ac0bbbb034f3b016ca06a93eaadc41a368da575",
+    "traces/CMPL_Agent_00.csv": "535d1fa5665148ec4480bef6b210ab4369fd4675fb1d2d84fd934fe3a36a8e1e",
+    "traces/CTL_Agent_00.csv": "56d04f068924212c1596d8db4f599f9bc40dc0a4f5859a89f63dc69751524d92",
+}
+
+# 300 LMPL train steps (200 updates) with two 2-episode evaluations.
+GOLDEN_TRAIN = {
+    "checkpoint.bin": "98ee8d46c77121f5e5fe61c9d58dbdb6fe72f722bd8328b08ee42a54c3233ef6",
+    "curve.csv": "fcb455c73668e5ea4f4e0d36452548a4e3078179b21ad3342ae5f1ae01cb7491",
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +52,37 @@ def benchmark_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def agent_dir(tmp_path_factory):
+    """Three wind-on paired agent/baseline trials per scenario, seed 0."""
+    out = tmp_path_factory.mktemp("golden-agent")
+    report = run_benchmark(list(ScenarioKind), [Controller.AGENT, Controller.EKF_PID], 3, wind=True, seed=0,
+                           learner=Td3Learner(Td3Hyperparams(), seed=0), trace_dir=str(out / "traces"))
+    write_report(str(out), report)
+    return out
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    """The files `padlander train` writes, for a short LMPL run at seed 0."""
+    out = tmp_path_factory.mktemp("golden-train")
+    hp = Td3Hyperparams(total_steps=300, eval_interval=150, eval_episodes=2, checkpoint_interval=0)
+    result = train(lambda: LandingEnv(ScenarioSpec(ScenarioKind.LMPL)), hp, seed=0)
+    save_checkpoint(out / "checkpoint.bin", result.learner)
+    write_curve_csv(out / "curve.csv", result.curve)
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_baseline_output_digest(benchmark_dir, name):
-    digest = hashlib.sha256((benchmark_dir / name).read_bytes()).hexdigest()
-    assert digest == GOLDEN[name]
+    assert _sha256(benchmark_dir / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_AGENT))
+def test_agent_output_digest(agent_dir, name):
+    assert _sha256(agent_dir / name) == GOLDEN_AGENT[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
+def test_train_output_digest(train_dir, name):
+    assert _sha256(train_dir / name) == GOLDEN_TRAIN[name]
