@@ -85,6 +85,11 @@ class EnvConfig:
             raise ValueError("physics_hz must be an integer multiple of control_hz")
         if not self.action_scale > 0:
             raise ValueError("action_scale must be positive")
+        # A threshold <= 0 ends every episode at once or makes touchdown unreachable.
+        for name in ("episode_cap", "out_of_bounds_radius", "touchdown_vertical", "touchdown_speed",
+                     "crash_descent_speed"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # _spawn rejection-samples the spawn hemisphere; a band it cannot hit never returns.
         if not (0.0 <= self.spawn_alt_min < self.spawn_alt_max and self.spawn_alt_min < self.spawn_radius):
             raise ValueError("need 0 <= spawn_alt_min < spawn_alt_max and spawn_alt_min < spawn_radius")

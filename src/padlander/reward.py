@@ -103,8 +103,8 @@ def compute_reward(
     the drone is climbing away from the pad, which the speed term penalizes,
     while descending is free.
     """
-    x, y, z = (float(c) for c in rel_pos)
-    vx, vy, vz = (float(c) for c in rel_vel)
+    x, y, z = rel_pos.tolist()
+    vx, vy, vz = rel_vel.tolist()
     if prev_distance < 0 or not math.isfinite(prev_distance):
         raise ValueError(f"prev_distance must be finite and non-negative, got {prev_distance}")
     if not math.isfinite(x + y + z + vx + vy + vz):

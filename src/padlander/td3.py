@@ -52,6 +52,16 @@ class Td3Hyperparams:
             raise ValueError("learning_rate and batch_size must be positive")
         if self.policy_delay < 1:
             raise ValueError("policy_delay must be >= 1")
+        # Written as `not (ok)` so that NaN fails each check.
+        if not 0.0 <= self.discount <= 1.0:
+            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
+        if not 0.0 < self.polyak_tau <= 1.0:
+            raise ValueError(f"polyak_tau must be in (0, 1], got {self.polyak_tau}")
+        if not self.buffer_capacity >= self.batch_size:
+            raise ValueError(f"buffer_capacity {self.buffer_capacity} is below batch_size {self.batch_size}")
+        for name in ("target_noise_sigma", "target_noise_clip", "exploration_noise_sigma"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 class ReplayBuffer:

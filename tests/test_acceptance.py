@@ -185,7 +185,7 @@ def test_criterion_5_ekf_oracle():
     # predict matches matrix-power oracle
     ekf2 = EkfState.create(dt, x0=[1, 2, 3, 0.1, 0.2, 0.3])
     x0 = ekf2.x.copy()
-    a = ekf2.A.copy()
+    a = ekf2.model.A.copy()
     for _ in range(30):
         ekf2 = ekf_predict(ekf2)
     power_err = float(np.max(np.abs(ekf2.x - np.linalg.matrix_power(a, 30) @ x0)))

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
 
+import padlander.baseline as baseline
 from padlander.baseline import (
     _ESTIMATOR_ROW,
     EkfState,
     FilterDivergenceError,
+    KalmanModel,
     PidController,
     PidState,
     PursuitConfig,
     ekf_predict,
     ekf_update,
+    kalman_model,
     pursuit_command,
     run_baseline_episode,
     transition_matrix,
 )
-from padlander.dynamics import DroneState
+from padlander.dynamics import DroneState, StateCorruptionError
 from padlander.environment import EnvConfig, LandingEnv, Terminal
 from padlander.scenario import ScenarioKind, ScenarioSpec
 
@@ -22,7 +25,7 @@ from padlander.scenario import ScenarioKind, ScenarioSpec
 def ekf_update_by_reference(state, z):
     """The update with the SVD-based np.linalg.cond guard."""
     innovation = z - state.x[:3]
-    s = state.P[:3, :3] + state.R_meas
+    s = state.P[:3, :3] + state.model.R
     if np.linalg.cond(s) > 1e12:
         raise FilterDivergenceError("innovation covariance numerically singular")
     k = state.P[:, :3] @ np.linalg.inv(s)
@@ -30,15 +33,47 @@ def ekf_update_by_reference(state, z):
     i_kh = np.eye(6)
     i_kh[:, :3] -= k
     p = i_kh @ state.P
-    return EkfState(x, 0.5 * (p + p.T), state.Q, state.R_meas, state.A)
+    return EkfState(x, 0.5 * (p + p.T), state.model)
 
 
 def ekf_with_innovation_covariance(diag):
-    """An EKF whose innovation covariance P[:3, :3] + R is diag(diag)."""
-    ekf = EkfState.create(0.1)
+    """An EKF whose innovation covariance P[:3, :3] + R is diag(diag), with R = 0."""
+    ekf = EkfState.create(0.1, r=0.0)
     ekf.P[:] = 0.0
-    ekf.R_meas[:] = np.diag(diag)
+    ekf.P[:3, :3] = np.diag(diag)
     return ekf
+
+
+def ekf_predict_unmemoized(x, P, A, Q):
+    """The predict step as it was before the covariance memo."""
+    x = A @ x
+    p = A @ P @ A.T + Q
+    return x, 0.5 * (p + p.T)
+
+
+def ekf_update_unmemoized(x, P, R, z):
+    """The update step as it was before the covariance memo, checks in the same order."""
+    z = np.asarray(z, dtype=float)
+    if z.shape != (3,) or not np.isfinite(z).all():
+        raise StateCorruptionError(f"measurement must be a finite 3-vector, got {z}")
+    if not np.isfinite(P).all():
+        raise FilterDivergenceError("EKF covariance P is not finite")
+    innovation = z - x[:3]
+    s = P[:3, :3] + R
+    w = [abs(v) for v in np.linalg.eigvalsh(s).tolist()]
+    if min(w) == 0.0 or max(w) / min(w) > 1e12:
+        raise FilterDivergenceError("innovation covariance numerically singular")
+    k = P[:, :3] @ np.linalg.inv(s)
+    x = x + k @ innovation
+    i_kh = np.eye(6)
+    i_kh[:, :3] -= k
+    p = i_kh @ P
+    return x, 0.5 * (p + p.T)
+
+
+def fresh_model(dt, q=1e-4, r=1e-6):
+    """A model with an empty memo, not shared through kalman_model."""
+    return KalmanModel(transition_matrix(dt), q * np.eye(6), r * np.eye(3))
 
 
 class TestMatrices:
@@ -58,7 +93,7 @@ class TestEkf:
     def test_predict_matches_matrix_power_oracle(self):
         ekf = EkfState.create(1.0 / 30.0, x0=[0.5, -0.2, 1.0, 0.3, 0.0, -0.1])
         x0 = ekf.x.copy()
-        a = ekf.A.copy()
+        a = ekf.model.A.copy()
         for _ in range(20):
             ekf = ekf_predict(ekf)
         assert np.max(np.abs(ekf.x - np.linalg.matrix_power(a, 20) @ x0)) < 1e-9
@@ -97,9 +132,8 @@ class TestEkf:
             assert np.min(np.linalg.eigvalsh(ekf.P)) > -1e-12
 
     def test_singular_innovation_raises(self):
-        ekf = EkfState.create(0.1)
+        ekf = EkfState.create(0.1, r=0.0)
         ekf.P[:] = 0.0
-        ekf.R_meas[:] = 0.0
         with pytest.raises(FilterDivergenceError):
             ekf_update(ekf, np.zeros(3))
 
@@ -122,7 +156,7 @@ class TestEkf:
         with pytest.raises(FilterDivergenceError, match="singular"):
             ekf_update(ekf_with_innovation_covariance([1.0, -1.0, 0.0]), np.zeros(3))
         below = ekf_with_innovation_covariance([1.0, 1.0, 1e-12 * 1.001])
-        assert np.linalg.cond(below.P[:3, :3] + below.R_meas) < 1e12
+        assert np.linalg.cond(below.P[:3, :3] + below.model.R) < 1e12
         ekf_update(below, np.zeros(3))
 
     @pytest.mark.parametrize("where", [(0, 0), (1, 2), (5, 5), (4, 1)])
@@ -161,6 +195,101 @@ class TestEkf:
             ekf = ekf_update(ekf, z)
         rms = float(np.sqrt(np.mean(np.square(innovations))))
         assert 0.5 * sigma < rms < 5.0 * sigma
+
+
+class TestKalmanMemo:
+    MODELS = [(1 / 30, 1e-6), (1 / 60, 1e-6), (1 / 60, 1e-4)]
+
+    def test_matches_unmemoized_filter_cold_and_warm(self):
+        rng = np.random.default_rng(21)
+        models = [fresh_model(dt, r=r) for dt, r in self.MODELS]
+        sizes = []
+        # Episodes alternate between models, so a memo shared across models would show.
+        for episode in range(3):
+            for model, (dt, r) in zip(models, self.MODELS):
+                A, Q, R = transition_matrix(dt), 1e-4 * np.eye(6), r * np.eye(3)
+                x0 = rng.normal(size=6)
+                ekf = EkfState(x0.copy(), np.eye(6), model)
+                x, P = x0.copy(), np.eye(6)
+                for _ in range(1100):  # past the 1035 distinct covariances at 60 Hz
+                    ekf = ekf_predict(ekf)
+                    x, P = ekf_predict_unmemoized(x, P, A, Q)
+                    assert np.array_equal(ekf.x, x) and np.array_equal(ekf.P, P)
+                    z = x[:3] + rng.normal(0.0, 10.0 ** rng.uniform(-4, 0), 3)
+                    ekf = ekf_update(ekf, z)
+                    x, P = ekf_update_unmemoized(x, P, R, z)
+                    assert np.array_equal(ekf.x, x) and np.array_equal(ekf.P, P)
+            sizes.append([len(m._covariances) for m in models])
+        assert sizes[0] == sizes[1] == sizes[2]  # episodes 2 and 3 ran on hits only
+        assert sizes[0][0] > 1000 and sizes[0][1] > 2000
+
+    def test_create_shares_one_model_per_parameters(self):
+        a, b = EkfState.create(1 / 30, x0=np.ones(6)), EkfState.create(1 / 30)
+        assert a.model is b.model is kalman_model(1 / 30, 1e-4, 1e-6)
+        assert EkfState.create(1 / 60).model is not a.model
+        assert EkfState.create(1 / 30, r=1e-4).model is not a.model
+
+    def test_model_arrays_are_read_only(self):
+        model = kalman_model(1 / 30, 1e-4, 1e-6)
+        for a in (model.A, model.Q, model.R):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_raises_every_call_and_is_not_stored(self, bad):
+        model = fresh_model(1 / 30)
+        P = np.eye(6)
+        P[2, 4] = bad
+        ekf = EkfState(np.zeros(6), P, model)
+        for _ in range(3):
+            with pytest.raises(FilterDivergenceError, match="covariance P"):
+                ekf_update(ekf, np.zeros(3))
+            with np.errstate(invalid="ignore"):
+                assert not np.isfinite(ekf_predict(ekf).P).all()
+        assert len(model._covariances) == 0
+
+    def test_singular_innovation_raises_every_call_and_is_not_stored(self):
+        model = fresh_model(0.1, r=0.0)
+        ekf = EkfState(np.zeros(6), np.zeros((6, 6)), model)
+        for _ in range(3):
+            with pytest.raises(FilterDivergenceError, match="singular"):
+                ekf_update(ekf, np.zeros(3))
+        assert len(model._covariances) == 0
+
+    def test_bad_measurement_is_checked_before_a_memo_hit(self):
+        ekf = ekf_predict(EkfState.create(1 / 30))
+        ekf_update(ekf, np.zeros(3))  # the covariance is now stored
+        with pytest.raises(StateCorruptionError):
+            ekf_update(ekf, np.array([0.0, np.inf, 0.0]))
+
+    def test_mutating_a_covariance_does_not_change_later_results(self):
+        model = fresh_model(1 / 30)
+        first = EkfState(np.zeros(6), np.eye(6), model)
+        predicted = ekf_predict(first)
+        updated = ekf_update(predicted, np.ones(3))
+        want_p, want_u = predicted.P.copy(), updated.P.copy()
+        for state in (first, predicted, updated):  # each state owns a writable copy
+            state.P[0, 0] = 7.0
+        for stored in (model.predicted_covariance(np.eye(6)), *model.updated_covariance_and_gain(want_p)):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 7.0
+        again = ekf_predict(EkfState(np.zeros(6), np.eye(6), model))
+        assert np.array_equal(again.P, want_p)
+        assert np.array_equal(ekf_update(again, np.ones(3)).P, want_u)
+        moved = ekf_predict(first)  # the mutated covariance is a new key, not a stale hit
+        assert np.array_equal(moved.P, ekf_predict_unmemoized(first.x, first.P, model.A, model.Q)[1])
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        monkeypatch.setattr(baseline, "KALMAN_MEMO_ENTRIES", 16)
+        model = fresh_model(1 / 30)
+        ekf = EkfState(np.zeros(6), np.eye(6), model)
+        x, P = np.zeros(6), np.eye(6)
+        for _ in range(100):
+            ekf = ekf_update(ekf_predict(ekf), np.ones(3))
+            x, P = ekf_update_unmemoized(*ekf_predict_unmemoized(x, P, model.A, model.Q), model.R, np.ones(3))
+            assert len(model._covariances) <= 16
+        assert len(model._covariances) == 16
+        assert np.array_equal(ekf.x, x) and np.array_equal(ekf.P, P)
 
 
 class TestPid:

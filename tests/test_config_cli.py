@@ -217,6 +217,19 @@ class TestCliExitCodes:
         "env.wind_p_step=nan",
         "env.wind_bound=-1",
         "drone.a_max=-1",
+        "env.episode_cap=-5",
+        "env.out_of_bounds_radius=-1",
+        "env.touchdown_vertical=0",
+        "env.touchdown_speed=nan",
+        "env.crash_descent_speed=-1",
+        "td3.discount=1.5",
+        "td3.discount=nan",
+        "td3.polyak_tau=0",
+        "td3.polyak_tau=1.5",
+        "td3.buffer_capacity=50",
+        "td3.target_noise_sigma=-0.1",
+        "td3.target_noise_clip=-1",
+        "td3.exploration_noise_sigma=nan",
     ])
     def test_unusable_value_is_usage_error_naming_key(self, item, capsys):
         assert main(["config-dump", "-o", item]) == 2

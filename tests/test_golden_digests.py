@@ -9,7 +9,7 @@ import hashlib
 
 import pytest
 
-from padlander.environment import LandingEnv
+from padlander.environment import EnvConfig, LandingEnv
 from padlander.evaluation import Controller, run_benchmark, write_report
 from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint, train, write_curve_csv
@@ -20,6 +20,17 @@ GOLDEN = {
     "traces/LMPL_EkfPid_00.csv": "07f61505a6ae92fa3b0cfd1064cdc5374ca49a309d243831935e54fba29f2859",
     "traces/CMPL_EkfPid_00.csv": "d1cb25c200f8b5979dc3f1b7d03cbe3c940fbebd60108d8481a9f324a2ea7422",
     "traces/CTL_EkfPid_00.csv": "5398e014c504db05c980216bec327387b0b053dab58094fbe06fcb1173ffec0c",
+}
+
+# Three wind-on baseline trials per scenario at 60 Hz control, seed 1: the
+# Kalman model (dt) differs from the default-rate pins in this module, so a
+# covariance memo shared across models would move these.
+GOLDEN_60HZ = {
+    "trials.csv": "6e019d3034693f4814e14b635347a5aee3071a72db22e360fadb5504520ebacf",
+    "traces/SPL_EkfPid_00.csv": "2e5a10e28d2ef716f54d299cc5a4682a2ad7c142df56a00c15c51c95a31733a7",
+    "traces/LMPL_EkfPid_00.csv": "fe82b1f02a3b2b347c85f9ba76b26db85b7201c1119902510a0bbdbec2f46f33",
+    "traces/CMPL_EkfPid_00.csv": "bc052fe2a668cb901fc4f9733dd9f542dcdd217ead820498ee6185bd4bafd03e",
+    "traces/CTL_EkfPid_00.csv": "f387cfaabadb21f810a10280dad975abff68ce09005f70e564eb3fedef0be7e8",
 }
 
 # An untrained agent (net-init seed 0) paired with the baseline.
@@ -53,6 +64,16 @@ def benchmark_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def benchmark_60hz_dir(tmp_path_factory):
+    """Three wind-on baseline trials per scenario at 60 Hz control, seed 1."""
+    out = tmp_path_factory.mktemp("golden-60hz")
+    report = run_benchmark(list(ScenarioKind), [Controller.EKF_PID], 3, wind=True, seed=1,
+                           env_cfg=EnvConfig(control_hz=60), trace_dir=str(out / "traces"))
+    write_report(str(out), report)
+    return out
+
+
+@pytest.fixture(scope="module")
 def agent_dir(tmp_path_factory):
     """Three wind-on paired agent/baseline trials per scenario, seed 0."""
     out = tmp_path_factory.mktemp("golden-agent")
@@ -76,6 +97,11 @@ def train_dir(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_baseline_output_digest(benchmark_dir, name):
     assert _sha256(benchmark_dir / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_60HZ))
+def test_baseline_60hz_output_digest(benchmark_60hz_dir, name):
+    assert _sha256(benchmark_60hz_dir / name) == GOLDEN_60HZ[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_AGENT))

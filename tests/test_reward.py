@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -126,6 +127,35 @@ class TestProperties:
             compute_reward(np.array([np.nan, 0, 0]), ZERO, 1.0, None, False, False, CFG)
         with pytest.raises(ValueError):
             RewardConfig(near_radius=3.0)
+
+
+def generator_unpack(v):
+    """compute_reward's unpack of rel_pos/rel_vel before it used tolist()."""
+    x, y, z = (float(c) for c in v)
+    return x, y, z
+
+
+class TestUnpack:
+    def vectors(self):
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            yield rng.normal(size=3) * 10.0 ** rng.uniform(-310, 300, 3)
+        yield np.array([-0.0, 0.0, -0.0])
+        yield np.array([5e-324, -5e-324, np.finfo(float).max])
+        for bad in (np.nan, np.inf, -np.inf):
+            yield np.array([1.0, bad, -0.0])
+
+    def test_tolist_unpack_is_bit_identical(self):
+        for v in self.vectors():
+            got = tuple(v.tolist())
+            assert all(type(c) is float for c in got)
+            assert struct.pack("<3d", *got) == struct.pack("<3d", *generator_unpack(v))
+
+    def test_non_finite_relative_state_still_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for rel, vel in ((np.array([0.0, bad, 0.0]), ZERO), (ZERO, np.array([0.0, 0.0, bad]))):
+                with pytest.raises(ValueError, match="non-finite relative state"):
+                    compute_reward(rel, vel, 1.0, None, False, False, CFG)
 
 
 class TestSurfaceGrid:
