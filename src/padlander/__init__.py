@@ -6,7 +6,7 @@ a from-scratch TD3 agent, a Kalman-filter + PID pursuit baseline,
 and a seeded benchmark harness.
 """
 
-from padlander.dynamics import DroneParams, DroneState, apply_setpoint_delta, step_drone
+from padlander.dynamics import DroneParams, DroneState, apply_setpoint_delta
 from padlander.environment import EnvConfig, LandingEnv, StepOutcome
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward, reward_surface_grid
 from padlander.scenario import (
@@ -39,5 +39,4 @@ __all__ = [
     "platform_at",
     "reward_surface_grid",
     "sample_wind_step",
-    "step_drone",
 ]

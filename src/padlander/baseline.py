@@ -13,6 +13,7 @@ data, so a KalmanModel computes it once per distinct covariance and every
 later episode reuses it; only the state estimate x is computed per step.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional
@@ -157,7 +158,7 @@ def ekf_predict(state: EkfState) -> EkfState:
 def ekf_update(state: EkfState, z: np.ndarray) -> EkfState:
     """Fold in a position measurement: x <- x + K (z - x[:3]), P <- (I - KH) P."""
     z = np.asarray(z, dtype=float)
-    if z.shape != (3,) or not np.isfinite(z).all():
+    if z.shape != (3,) or not all(map(math.isfinite, z.tolist())):
         raise StateCorruptionError(f"measurement must be a finite 3-vector, got {z}")
     model = state.model
     p, k = model.updated_covariance_and_gain(state.P)
@@ -205,6 +206,16 @@ class PursuitConfig:
     approach_height: float = 0.5  # m, initial vertical offset above the pad
     align_radius: float = 0.05  # m, lateral error gating the descent
     measurement_sigma: float = 0.001  # m, simulated localization noise
+
+    def __post_init__(self):
+        # Written as `not (ok)` so that NaN fails each check.
+        for name in ("lookahead", "approach_height", "measurement_sigma"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # A rate or radius <= 0 stops the descent or reverses it.
+        for name in ("descent_rate", "align_radius"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def pursuit_command(

@@ -100,6 +100,9 @@ def cmd_train(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load(args)
+    wind = args.wind or cfg.evaluation.wind
+    # run_benchmark sets env.wind_enabled from wind, so resolved.cfg records that too.
+    cfg = replace(cfg, evaluation=replace(cfg.evaluation, wind=wind), env=replace(cfg.env, wind_enabled=wind))
     scenarios = _scenario_list(args.scenario)
     if args.baseline and args.checkpoint:
         raise ConfigError("pass either --baseline or --checkpoint, not both")
@@ -119,7 +122,7 @@ def cmd_benchmark(args) -> int:
         scenarios,
         controllers,
         trials_per_scenario=args.trials,
-        wind=args.wind or cfg.evaluation.wind,
+        wind=wind,
         seed=cfg.seed,
         learner=learner,
         env_cfg=cfg.env,
@@ -167,25 +170,23 @@ def cmd_replay(args) -> int:
     if not body:
         raise ConfigError(f"{args.trace}: no data rows")
 
-    def col(name):
-        i = expected.index(name)
-        return [float(r[i]) for r in body]
+    column = {name: i for i, name in enumerate(expected)}
 
+    def col(name):
+        return [float(r[column[name]]) for r in body]
+
+    px, py, pz = col("px"), col("py"), col("pz")
+    qx, qy, qz = col("pad_x"), col("pad_y"), col("pad_z")
     dists = [
-        math.sqrt((px - qx) ** 2 + (py - qy) ** 2 + (pz - qz) ** 2)
-        for px, py, pz, qx, qy, qz in zip(
-            col("px"), col("py"), col("pz"), col("pad_x"), col("pad_y"), col("pad_z")
-        )
+        math.sqrt((x - a) ** 2 + (y - b) ** 2 + (z - c) ** 2)
+        for x, y, z, a, b, c in zip(px, py, pz, qx, qy, qz)
     ]
     last = body[-1]
-    terminal = last[len(expected) - 1]
-    lateral = math.hypot(
-        float(last[1]) - float(last[13]), float(last[2]) - float(last[14])
-    )
-    print(f"steps: {len(body)}  duration: {float(last[0]):.3f} s  terminal: {terminal}")
+    lateral = math.hypot(px[-1] - qx[-1], py[-1] - qy[-1])
+    duration, terminal = float(last[column["t"]]), last[column["terminal"]]
+    print(f"steps: {len(body)}  duration: {duration:.3f} s  terminal: {terminal}")
     print(f"min drone-pad distance: {min(dists):.4f} m  final lateral error: {lateral:.4f} m")
-    for axis, name in ((1, "x"), (2, "y"), (3, "z")):
-        vals = [float(r[axis]) for r in body]
+    for name, vals in (("x", px), ("y", py), ("z", pz)):
         print(f"drone {name} range: [{min(vals):.3f}, {max(vals):.3f}] m")
 
     if args.out:

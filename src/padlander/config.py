@@ -1,8 +1,9 @@
 """Flat-text run configuration.
 
 Format: one `section.key = value` per line, `#` comments, blank lines
-ignored. Every scalar default in the stack is overridable (array and tuple
-fields are not); unknown keys are rejected with the offending key named.
+ignored. Every scalar default in the stack is overridable, except the
+fields _NOT_SETTABLE lists with a reason (array and tuple fields are not
+either); unknown keys are rejected with the offending key named.
 Sections are frozen: an override builds a new RunConfig. Each run writes
 its fully resolved configuration next to its outputs so results are
 reproducible from artifacts alone.
@@ -51,11 +52,16 @@ _SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pi
 _SCALARS = (int, float, bool, str)
 
 
-# Fields a run sets from elsewhere, with the message that says where.
-_DERIVED = {
-    "scenario_params.kind": "set the top-level 'scenario' key instead of scenario_params.kind",
-    "scenario_params.seed": "reset() draws every episode's scenario_params.seed from the run seed; "
+# Fields a user cannot set, each with the reason.
+_NO_OBSTACLES = ("the environment has no obstacles: LandingEnv.step and reward_surface_grid pass "
+                 "obstacle_distance=None, so the repulsive term is always 0")
+_NOT_SETTABLE = {
+    "scenario_params.kind": "set the top-level 'scenario' key instead",
+    "scenario_params.seed": "reset() draws every episode's seed from the run seed; "
     "set the top-level 'seed' key instead",
+    "reward.repulsive_enabled": _NO_OBSTACLES,
+    "reward.eta": _NO_OBSTACLES,
+    "reward.q_max": _NO_OBSTACLES,
 }
 
 
@@ -64,7 +70,7 @@ def _configurable_fields(section: str, obj) -> Dict[str, type]:
     return {
         name: type(v)
         for name, v in values.items()
-        if isinstance(v, _SCALARS) and f"{section}.{name}" not in _DERIVED
+        if isinstance(v, _SCALARS) and f"{section}.{name}" not in _NOT_SETTABLE
     }
 
 
@@ -96,8 +102,8 @@ def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
         if name not in ScenarioKind.__members__:
             raise ConfigError(f"scenario must be one of {list(ScenarioKind.__members__)}, got {value!r}")
         return replace(cfg, scenario=name)
-    if key in _DERIVED:
-        raise ConfigError(_DERIVED[key])
+    if key in _NOT_SETTABLE:
+        raise ConfigError(f"{key} cannot be set: {_NOT_SETTABLE[key]}")
     section, _, attr = key.partition(".")
     if section not in _SECTIONS or not attr:
         raise ConfigError(f"unknown configuration key {key!r}")

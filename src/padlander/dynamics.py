@@ -160,16 +160,6 @@ def step_drone_many(
     )
 
 
-def step_drone(
-    state: DroneState,
-    params: DroneParams,
-    external_force: np.ndarray,
-    dt: float,
-) -> DroneState:
-    """One physics substep; see step_drone_many."""
-    return step_drone_many(state, params, external_force, dt, 1)
-
-
 def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> DroneState:
     """Re-anchor the setpoint at position + delta (the agent's actuation channel).
 

@@ -209,7 +209,7 @@ class LandingEnv:
         self._prev_distance = float(np.linalg.norm(pad.position - self._drone.position))
         return build_observation(self._drone, pad, self.cfg)
 
-    def _classify(self, rel, rel_v, half_extent: float, t: float) -> Terminal:
+    def _classify(self, rel, rel_v, d: float, half_extent: float, t: float) -> Terminal:
         over_pad = abs(rel[0]) <= half_extent and abs(rel[1]) <= half_extent
         dz = rel[2]
         if over_pad and 0.0 <= dz <= self.cfg.touchdown_vertical:
@@ -222,7 +222,7 @@ class LandingEnv:
             # graze still counts as a crash once descending hard.
             if rel_v[2] < -self.cfg.crash_descent_speed or dz < -self.cfg.touchdown_vertical:
                 return Terminal.CRASH
-        if math.hypot(rel[0], rel[1], rel[2]) > self.cfg.out_of_bounds_radius:
+        if d > self.cfg.out_of_bounds_radius:
             return Terminal.OUT_OF_BOUNDS
         if t >= self.cfg.episode_cap - 1e-9:
             return Terminal.TIMEOUT
@@ -259,7 +259,7 @@ class LandingEnv:
         reward = compute_reward(rel, rel_v, self._prev_distance, None, rz < 0.0, near_edge, self.reward_cfg)
         self._prev_distance = d
 
-        self._terminal = self._classify(rel_xyz, rel_v.tolist(), pad.half_extent, self._t)
+        self._terminal = self._classify(rel_xyz, rel_v.tolist(), d, pad.half_extent, self._t)
         self._drone = drone
         observation = build_observation(drone, pad, self.cfg)
         return StepOutcome(observation, reward, self._terminal, self._t, drone, pad, a, self._wind.force)

@@ -164,13 +164,13 @@ def run_benchmark(
     episode starts from a fresh PidState. drone_params and scenario_params
     (default DroneParams() and ScenarioSpec defaults) shape every env; the
     spec's kind is replaced by each scenario in turn, and its seed by the
-    per-episode seed drawn at reset.
+    per-episode seed drawn at reset. wind replaces env_cfg.wind_enabled.
     """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
     if Controller.AGENT in controllers and learner is None:
         raise ValueError("agent benchmark requires a learner/checkpoint")
-    env_cfg = env_cfg or EnvConfig()
+    env_cfg = replace(env_cfg or EnvConfig(), wind_enabled=wind)
     pid = pid or PidController()
     scenario_params = scenario_params or ScenarioSpec(ScenarioKind.SPL)
     report = BenchmarkReport()
@@ -183,12 +183,11 @@ def run_benchmark(
         os.makedirs(trace_dir, exist_ok=True)
 
     for kind in scenarios:
-        base_cfg = replace(env_cfg, wind_enabled=wind)
         for controller in controllers:
             trials = []
             for i in range(trials_per_scenario):
                 trial_seed = int(trial_seeds[kind][i])
-                env = LandingEnv(replace(scenario_params, kind=kind), base_cfg, reward_cfg, drone_params)
+                env = LandingEnv(replace(scenario_params, kind=kind), env_cfg, reward_cfg, drone_params)
                 est_rows = None
                 try:
                     if controller is Controller.AGENT:

@@ -61,9 +61,8 @@ class ScenarioSpec:
 class WindState:
     episode_windy: bool
     force: np.ndarray  # N, currently applied
-    p_episode: float = 0.2
-    p_step: float = 0.2
-    component_bound: float = 0.005  # N
+    p_step: float
+    component_bound: float  # N
 
 
 def init_wind(
@@ -78,7 +77,7 @@ def init_wind(
     if bound < 0:
         raise ValueError("force bound must be non-negative")
     windy = bool(rng.uniform() < p_episode)
-    return WindState(windy, np.zeros(3), p_episode, p_step, bound)
+    return WindState(windy, np.zeros(3), p_step, bound)
 
 
 def sample_wind_step(state: WindState, rng: np.random.Generator) -> WindState:
@@ -87,7 +86,7 @@ def sample_wind_step(state: WindState, rng: np.random.Generator) -> WindState:
         force = rng.uniform(-state.component_bound, state.component_bound, size=3)
     else:
         force = np.zeros(3)
-    return WindState(state.episode_windy, force, state.p_episode, state.p_step, state.component_bound)
+    return WindState(state.episode_windy, force, state.p_step, state.component_bound)
 
 
 def _segment_heading(spec: ScenarioSpec, k: int) -> float:
@@ -161,7 +160,7 @@ def _ctl(spec: ScenarioSpec, t: float):
     return pos, vel
 
 
-def platform_at(spec: ScenarioSpec, t: float, half_extent: float = 0.25) -> PlatformState:
+def platform_at(spec: ScenarioSpec, t: float) -> PlatformState:
     """Platform state at time t; pure in (spec, t)."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -176,4 +175,4 @@ def platform_at(spec: ScenarioSpec, t: float, half_extent: float = 0.25) -> Plat
     else:  # pragma: no cover
         raise ValueError(f"unknown scenario kind {spec.kind}")
     vel = np.minimum(np.maximum(vel, -PLATFORM_SPEED_LIMIT), PLATFORM_SPEED_LIMIT)
-    return PlatformState(pos, vel, half_extent)
+    return PlatformState(pos, vel)

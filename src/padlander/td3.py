@@ -188,7 +188,7 @@ class Td3Learner:
 # -- checkpoint format ----------------------------------------------------
 
 
-def save_checkpoint(path, learner: Td3Learner, with_optimizer: bool = True) -> None:
+def save_checkpoint(path, learner: Td3Learner) -> None:
     nets = [
         ("actor", learner.actor),
         ("critic1", learner.critic1),
@@ -203,7 +203,7 @@ def save_checkpoint(path, learner: Td3Learner, with_optimizer: bool = True) -> N
     for name, net in nets:
         header.append(f"dims.{name} " + ",".join(str(d) for d in net.layer_dims))
         header.append(f"activation.{name} relu/{net.output_activation}")
-    header.append(f"optimizer_state {int(with_optimizer)}")
+    header.append("optimizer_state 1")
     header.append("adam_t " + ",".join(str(o.t) for o in opts))
     header.append(f"n_updates {learner.n_updates}")
     header.append("rng " + json.dumps(learner.update_rng.bit_generator.state))
@@ -212,10 +212,9 @@ def save_checkpoint(path, learner: Td3Learner, with_optimizer: bool = True) -> N
         f.write(("\n".join(header) + "\n").encode("ascii"))
         for _, net in nets:
             f.write(np.ascontiguousarray(net.flat, dtype="<f4").tobytes())
-        if with_optimizer:
-            for opt in opts:
-                f.write(np.ascontiguousarray(opt.m, dtype="<f4").tobytes())
-                f.write(np.ascontiguousarray(opt.v, dtype="<f4").tobytes())
+        for opt in opts:
+            f.write(np.ascontiguousarray(opt.m, dtype="<f4").tobytes())
+            f.write(np.ascontiguousarray(opt.v, dtype="<f4").tobytes())
 
 
 class CheckpointFormatError(ValueError):
@@ -284,6 +283,7 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
         raise CheckpointFormatError(f"{path}: payload shorter than header promises") from e
 
     opts = [learner.actor_opt, learner.critic1_opt, learner.critic2_opt]
+    # save_checkpoint always writes 1; older v1 files with 0 load with zero Adam moments.
     if need("optimizer_state") == "1":
         try:
             for opt in opts:
@@ -357,7 +357,6 @@ def train(
     seed: int = 0,
     learner: Optional[Td3Learner] = None,
     checkpoint_sink: Optional[Callable[[int, Td3Learner], None]] = None,
-    curve_sink: Optional[Callable[[CurvePoint], None]] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> TrainResult:
     """Standard off-policy loop: act with exploration noise, store, update.
@@ -399,8 +398,6 @@ def train(
             )
             point.step = step
             result.curve.append(point)
-            if curve_sink:
-                curve_sink(point)
             if log:
                 log(
                     f"step {step}: mean_reward={point.mean_reward:.3f} "

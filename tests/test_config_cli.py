@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from padlander.cli import main
 from padlander.config import (
+    _NOT_SETTABLE,
     ConfigError,
     RunConfig,
     apply_item,
@@ -32,13 +34,10 @@ scenario_params.vertical_amplitude = 0.2
 reward.alpha = 5
 reward.beta_below = 0.5
 reward.beta_edge = 0.25
-reward.eta = 0.1
 reward.far_radius = 2
 reward.gamma = -1
 reward.k_delta = 0.3
 reward.near_radius = 0.1
-reward.q_max = 0.4
-reward.repulsive_enabled = false
 reward.zeta = 0.5
 env.action_scale = 0.1
 env.control_hz = 30
@@ -117,6 +116,15 @@ class TestConfigParsing:
     def test_scenario_seed_blocked_in_section(self):
         with pytest.raises(ConfigError, match="seed"):
             apply_item(RunConfig(), "scenario_params.seed", "3")
+
+    @pytest.mark.parametrize("key", sorted(_NOT_SETTABLE))
+    def test_not_settable_key_is_real_undumped_and_rejected_with_reason(self, key, capsys):
+        section, _, attr = key.partition(".")
+        assert attr in {f.name for f in dataclasses.fields(getattr(RunConfig(), section))}
+        assert f"\n{key} = " not in dump_config(RunConfig())
+        assert main(["config-dump", "-o", f"{key}=1"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and _NOT_SETTABLE[key] in err
 
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="td3.batch_size"):
@@ -230,6 +238,13 @@ class TestCliExitCodes:
         "td3.target_noise_sigma=-0.1",
         "td3.target_noise_clip=-1",
         "td3.exploration_noise_sigma=nan",
+        "baseline.lookahead=nan",
+        "baseline.lookahead=-0.1",
+        "baseline.descent_rate=-1",
+        "baseline.descent_rate=0",
+        "baseline.approach_height=-0.5",
+        "baseline.align_radius=0",
+        "baseline.measurement_sigma=-0.1",
     ])
     def test_unusable_value_is_usage_error_naming_key(self, item, capsys):
         assert main(["config-dump", "-o", item]) == 2
@@ -308,6 +323,19 @@ class TestCliCommands:
         b = (tmp_path / "b" / "benchmark_s6" / "trials.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("wind", [False, True])
+    def test_benchmark_rerun_from_resolved_cfg_is_identical(self, tmp_path, wind):
+        base = ["benchmark", "--baseline", "--scenario", "LMPL", "--trials", "3", "--seed", "5"]
+        assert main(base + ["--wind"] * wind + ["-o", f"outdir={tmp_path / 'a'}"]) == 0
+        resolved = tmp_path / "a" / "benchmark_s5" / "resolved.cfg"
+        lines = resolved.read_text().splitlines()
+        value = str(wind).lower()
+        assert f"evaluation.wind = {value}" in lines and f"env.wind_enabled = {value}" in lines
+        assert main(base + ["--config", str(resolved), "-o", f"outdir={tmp_path / 'b'}"]) == 0
+        a = (tmp_path / "a" / "benchmark_s5" / "trials.csv").read_bytes()
+        b = (tmp_path / "b" / "benchmark_s5" / "trials.csv").read_bytes()
+        assert a == b
+
     def test_benchmark_applies_pid_overrides(self, tmp_path):
         trials = {}
         for name, extra in (("default", []), ("kd", ["-o", "pid.kd=50"])):
@@ -351,6 +379,28 @@ class TestCliCommands:
         assert n_down <= n_rows // 10 + 2
         # endpoints preserved
         assert out.read_text().strip().splitlines()[-1] == trace.read_text().strip().splitlines()[-1]
+
+    def test_replay_output_pinned(self, tmp_path, capsys):
+        # Recorded before replay read its columns by name, on this trace.
+        assert main([
+            "benchmark", "--baseline", "--scenario", "LMPL", "--trials", "1",
+            "--seed", "2", "-o", f"outdir={tmp_path}",
+        ]) == 0
+        trace = tmp_path / "benchmark_s2" / "traces" / "LMPL_EkfPid_00.csv"
+        out = tmp_path / "down.csv"
+        capsys.readouterr()
+        assert main(["replay", str(trace), "--downsample", "10", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "steps: 600  duration: 20.000 s  terminal: Timeout\n"
+            "min drone-pad distance: 0.4089 m  final lateral error: 0.0898 m\n"
+            "drone x range: [-0.765, 1.149] m\n"
+            "drone y range: [-0.948, 1.053] m\n"
+            "drone z range: [0.407, 0.581] m\n"
+            f"downsampled 600 -> 61 rows -> {out}\n"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ed58cfdcfb40de60c210c008af9cf844803af2dd68b2e878ec2f5ad70ecf194e"
+        )
 
     def test_replay_schema_error_names_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

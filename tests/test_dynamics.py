@@ -9,7 +9,6 @@ from padlander.dynamics import (
     DroneState,
     StateCorruptionError,
     apply_setpoint_delta,
-    step_drone,
     step_drone_many,
 )
 
@@ -93,7 +92,7 @@ def test_equilibrium_is_a_fixpoint():
     params = DroneParams()
     out = state
     for _ in range(100):
-        out = step_drone(out, params, np.zeros(3), DT)
+        out = step_drone_many(out, params, np.zeros(3), DT, 1)
     assert np.array_equal(out.position, state.position)
     assert np.array_equal(out.velocity, np.zeros(3))
     assert np.array_equal(out.attitude, np.zeros(3))
@@ -103,7 +102,7 @@ def test_equilibrium_is_a_fixpoint():
 def test_force_integration_matches_f_equals_ma():
     state = DroneState.at_rest([0.0, 0.0, 1.0])
     params = DroneParams(mass=0.027)
-    out = step_drone(state, params, np.array([0.005, 0.0, 0.0]), DT)
+    out = step_drone_many(state, params, np.array([0.005, 0.0, 0.0]), DT, 1)
     assert out.velocity[0] == pytest.approx(0.005 / 0.027 / 240.0, rel=1e-12)
     assert out.velocity[1] == 0.0 and out.velocity[2] == 0.0
 
@@ -118,7 +117,7 @@ def test_velocity_envelope_under_distant_setpoint():
     params = DroneParams()
     peak = 0.0
     for _ in range(1000):
-        state = step_drone(state, params, np.zeros(3), DT)
+        state = step_drone_many(state, params, np.zeros(3), DT, 1)
         assert abs(state.velocity[0]) <= 3.0 + 1e-12
         peak = max(peak, state.velocity[0])
     assert peak > 2.5  # the cap actually binds during the dash
@@ -134,7 +133,7 @@ def test_envelope_property_random_rollouts():
                 delta = rng.uniform(-0.1, 0.1, 3)
                 state = apply_setpoint_delta(state, delta)
             force = rng.uniform(-0.005, 0.005, 3)
-            state = step_drone(state, params, force, DT)
+            state = step_drone_many(state, params, force, DT, 1)
             assert abs(state.velocity[0]) <= 3.0 + 1e-12
             assert abs(state.velocity[1]) <= 3.0 + 1e-12
             assert abs(state.velocity[2]) <= 2.0 + 1e-12
@@ -146,8 +145,8 @@ def test_determinism():
     state = apply_setpoint_delta(state, [0.1, -0.05, 0.02])
     params = DroneParams()
     force = np.array([0.003, -0.002, 0.001])
-    a = step_drone(state, params, force, DT)
-    b = step_drone(state, params, force, DT)
+    a = step_drone_many(state, params, force, DT, 1)
+    b = step_drone_many(state, params, force, DT, 1)
     for f in ("position", "velocity", "attitude", "angular_velocity", "setpoint"):
         assert np.array_equal(getattr(a, f), getattr(b, f))
 
@@ -158,7 +157,7 @@ def test_attitude_stays_below_quarter_turn():
     state = DroneState.at_rest([0.0, 0.0, 1.0])
     for _ in range(500):
         state = apply_setpoint_delta(state, rng.uniform(-0.1, 0.1, 3))
-        state = step_drone(state, params, rng.uniform(-0.005, 0.005, 3), DT)
+        state = step_drone_many(state, params, rng.uniform(-0.005, 0.005, 3), DT, 1)
         assert abs(state.attitude[0]) < np.pi / 2
         assert abs(state.attitude[1]) < np.pi / 2
         assert state.attitude[2] == 0.0
@@ -182,9 +181,9 @@ def test_setpoint_delta_bound_enforced():
 def test_non_finite_inputs_rejected():
     state = DroneState.at_rest([0.0, 0.0, 0.0])
     with pytest.raises(StateCorruptionError):
-        step_drone(state, DroneParams(), np.array([np.nan, 0.0, 0.0]), DT)
+        step_drone_many(state, DroneParams(), np.array([np.nan, 0.0, 0.0]), DT, 1)
     bad = DroneState(
         np.array([np.inf, 0.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3)
     )
     with pytest.raises(StateCorruptionError):
-        step_drone(bad, DroneParams(), np.zeros(3), DT)
+        step_drone_many(bad, DroneParams(), np.zeros(3), DT, 1)
