@@ -5,6 +5,8 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 """
 
 import argparse
+import csv
+import math
 import os
 import sys
 import time
@@ -33,7 +35,7 @@ def _load(args) -> RunConfig:
         key, _, value = item.partition("=")
         cfg = apply_item(cfg, key, value)
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = apply_item(cfg, "seed", str(args.seed))
     scenario = getattr(args, "scenario", None)
     if isinstance(scenario, str) and scenario:
         cfg = apply_item(cfg, "scenario", scenario)
@@ -100,6 +102,8 @@ def cmd_train(args) -> int:
 
 def cmd_benchmark(args) -> int:
     cfg = _load(args)
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     wind = args.wind or cfg.evaluation.wind
     # run_benchmark sets env.wind_enabled from wind, so resolved.cfg records that too.
     cfg = replace(cfg, evaluation=replace(cfg.evaluation, wind=wind), env=replace(cfg.env, wind_enabled=wind))
@@ -144,6 +148,10 @@ def cmd_reward_surface(args) -> int:
     cfg = _load(args)
     if args.res < 2:
         raise ConfigError(f"--res must be >= 2, got {args.res}")
+    if not math.isfinite(args.z):
+        raise ConfigError(f"--z must be finite, got {args.z}")
+    if not 0.0 < args.range < math.inf:  # NaN fails this too
+        raise ConfigError(f"--range must be finite and > 0, got {args.range}")
     out = args.out or "reward_surface.csv"
     n = write_surface_csv(out, args.z, args.range, args.res, cfg.reward)
     print(f"wrote {n} grid rows -> {out}")
@@ -151,14 +159,11 @@ def cmd_reward_surface(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    import csv as _csv
-    import math
-
     expected = TRACE_COLUMNS.split(",")
     if not os.path.exists(args.trace):
         raise ConfigError(f"trace file not found: {args.trace}")
     with open(args.trace) as f:
-        rows = list(_csv.reader(f))
+        rows = list(csv.reader(f))
     if not rows:
         raise ConfigError(f"{args.trace}: empty file, expected header {TRACE_COLUMNS}")
     header = rows[0]
@@ -169,11 +174,22 @@ def cmd_replay(args) -> int:
     body = rows[1:]
     if not body:
         raise ConfigError(f"{args.trace}: no data rows")
+    # csv.reader gives one row per line: traces quote no newlines.
+    for lineno, r in enumerate(body, 2):
+        if len(r) != len(header):
+            what = f"no {header[len(r)]!r} value" if len(r) < len(header) else "more cells than columns"
+            raise ConfigError(f"{args.trace}: line {lineno} has {len(r)} cells of {len(header)}: {what}")
 
     column = {name: i for i, name in enumerate(expected)}
 
     def col(name):
-        return [float(r[column[name]]) for r in body]
+        i, values = column[name], []
+        for lineno, r in enumerate(body, 2):
+            try:
+                values.append(float(r[i]))
+            except ValueError:
+                raise ConfigError(f"{args.trace}: line {lineno}, column {name!r}: {r[i]!r} is not a number") from None
+        return values
 
     px, py, pz = col("px"), col("py"), col("pz")
     qx, qy, qz = col("pad_x"), col("pad_y"), col("pad_z")
@@ -183,7 +199,7 @@ def cmd_replay(args) -> int:
     ]
     last = body[-1]
     lateral = math.hypot(px[-1] - qx[-1], py[-1] - qy[-1])
-    duration, terminal = float(last[column["t"]]), last[column["terminal"]]
+    duration, terminal = col("t")[-1], last[column["terminal"]]
     print(f"steps: {len(body)}  duration: {duration:.3f} s  terminal: {terminal}")
     print(f"min drone-pad distance: {min(dists):.4f} m  final lateral error: {lateral:.4f} m")
     for name, vals in (("x", px), ("y", py), ("z", pz)):
@@ -207,11 +223,11 @@ def cmd_config_dump(args) -> int:
     return 0
 
 
-def _add_common(p, seed_default=None):
+def _add_common(p):
     p.add_argument("--config", help="flat-text config file (section.key = value)")
     p.add_argument("-o", "--override", action="append", metavar="KEY=VALUE",
                    help="config override, repeatable")
-    p.add_argument("--seed", type=int, default=seed_default)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:

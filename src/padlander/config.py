@@ -94,7 +94,13 @@ def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
     """Apply one `section.key = value` item; unknown keys are errors."""
     key = key.strip()
     if key == "seed":
-        return replace(cfg, seed=int(value))
+        try:
+            seed = _parse_value(value, int)
+        except ValueError as e:
+            raise ConfigError(f"bad value for seed: {e}") from None
+        if seed < 0:
+            raise ConfigError(f"bad value for seed: must be non-negative, got {seed}")
+        return replace(cfg, seed=seed)
     if key == "outdir":
         return replace(cfg, outdir=value.strip())
     if key == "scenario":

@@ -15,11 +15,11 @@ of magnitude faster than 3-vector numpy ops at that size.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-VEL_ENVELOPE = np.array([3.0, 3.0, 2.0])  # m/s, per component
+VEL_ENVELOPE = (3.0, 3.0, 2.0)  # m/s, per component
 SETPOINT_DELTA_BOUND = 0.1  # m, max |delta| per axis per command
 
 
@@ -66,7 +66,6 @@ class DroneParams:
     tau_v: float = 0.25  # s, velocity tracking time constant
     a_max: float = 10.0  # m/s^2, acceleration norm clamp
     gravity: float = 9.81  # m/s^2
-    vel_envelope: np.ndarray = field(default_factory=lambda: VEL_ENVELOPE.copy())
 
     def __post_init__(self):
         if self.mass <= 0 or self.tau_v <= 0:
@@ -99,7 +98,7 @@ def step_drone_many(
     vx, vy, vz = state.velocity.tolist()
     roll, pitch = state.attitude[:2].tolist()
     spx, spy, spz = state.setpoint.tolist()
-    ex, ey, ez = params.vel_envelope.tolist()
+    ex, ey, ez = VEL_ENVELOPE
     fax, fay, faz = (f / params.mass for f in force.tolist())
     # one fused scalar check: any nan/inf in the inputs poisons the sum
     probe = px + py + pz + vx + vy + vz + spx + spy + spz + roll + pitch

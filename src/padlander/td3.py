@@ -5,13 +5,24 @@ with target-policy smoothing noise; the actor ascends Q1(s, actor(s)) every
 policy_delay updates, after which all three target networks Polyak-average
 toward their online twins. Replay is a uniform ring buffer.
 
-Checkpoints are a text header (format version, layer dims, activations,
-optimizer flag, RNG state) followed by little-endian float32 arrays in
-declaration order.
+Checkpoints are an ASCII text header (format version, layer dims,
+activations, optimizer flag, Adam step counts, update count, RNG state)
+ended by a `---` line, then little-endian float32 arrays: the six nets'
+parameters, then each Adam's m and v. `_layout` is the one definition of
+that layout, and the writer and the loader both follow it.
+
+The loader accepts exactly what the writer writes. It rebuilds the learner
+from `dims.actor`, sets the counters and RNG state from their lines, and
+then requires the file's header to equal, line for line, the header the
+writer would write for that learner; the error names the key of the first
+line that differs. The one variant it also reads is `optimizer_state 0`,
+an older v1 file whose payload holds the nets alone; it loads with zero
+Adam moments.
 """
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -187,57 +198,74 @@ class Td3Learner:
 
 # -- checkpoint format ----------------------------------------------------
 
-
-def save_checkpoint(path, learner: Td3Learner) -> None:
-    nets = [
-        ("actor", learner.actor),
-        ("critic1", learner.critic1),
-        ("critic2", learner.critic2),
-        ("target_actor", learner.target_actor),
-        ("target_critic1", learner.target_critic1),
-        ("target_critic2", learner.target_critic2),
-    ]
-    opts = [learner.actor_opt, learner.critic1_opt, learner.critic2_opt]
-    header = ["padlander-checkpoint v1"]
-    header.append("nets " + ",".join(n for n, _ in nets))
-    for name, net in nets:
-        header.append(f"dims.{name} " + ",".join(str(d) for d in net.layer_dims))
-        header.append(f"activation.{name} relu/{net.output_activation}")
-    header.append("optimizer_state 1")
-    header.append("adam_t " + ",".join(str(o.t) for o in opts))
-    header.append(f"n_updates {learner.n_updates}")
-    header.append("rng " + json.dumps(learner.update_rng.bit_generator.state))
-    header.append("---")
-    with open(path, "wb") as f:
-        f.write(("\n".join(header) + "\n").encode("ascii"))
-        for _, net in nets:
-            f.write(np.ascontiguousarray(net.flat, dtype="<f4").tobytes())
-        for opt in opts:
-            f.write(np.ascontiguousarray(opt.m, dtype="<f4").tobytes())
-            f.write(np.ascontiguousarray(opt.v, dtype="<f4").tobytes())
+_MAGIC = "padlander-checkpoint v1"
+_HEADER_END = b"\n---\n"
+# The learner's nets in payload order; the first three are online and each has an Adam.
+_NETS = ("actor", "critic1", "critic2", "target_actor", "target_critic1", "target_critic2")
 
 
 class CheckpointFormatError(ValueError):
     pass
 
 
+def _layout(learner: Td3Learner, optimizer_state: int = 1):
+    """The checkpoint layout for this learner, each part in file order.
+
+    Returns the header lines the writer writes (format version, `nets`,
+    `dims.<net>` and `activation.<net>` for each net, then the optimizer
+    flag, Adam step counts, update count and RNG state), the six nets' flat
+    parameter arrays, and the three Adams, whose m and v arrays follow the
+    nets in the payload.
+    """
+    nets = {name: getattr(learner, name) for name in _NETS}
+    opts = [getattr(learner, f"{name}_opt") for name in _NETS[:3]]
+    header = [_MAGIC, "nets " + ",".join(nets)]
+    for name, net in nets.items():
+        header.append(f"dims.{name} " + ",".join(str(d) for d in net.layer_dims))
+        header.append(f"activation.{name} relu/{net.output_activation}")
+    header += [
+        f"optimizer_state {optimizer_state}",
+        "adam_t " + ",".join(str(opt.t) for opt in opts),
+        f"n_updates {learner.n_updates}",
+        "rng " + json.dumps(learner.update_rng.bit_generator.state),
+    ]
+    return header, [net.flat for net in nets.values()], opts
+
+
+def _moments(opts: List[Adam]) -> List[np.ndarray]:
+    return [a for opt in opts for a in (opt.m, opt.v)]
+
+
+def save_checkpoint(path, learner: Td3Learner) -> None:
+    header, flats, opts = _layout(learner)
+    with open(path, "wb") as f:
+        f.write("\n".join(header).encode("ascii") + _HEADER_END)
+        for a in flats + _moments(opts):
+            f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def _counts(text: str, n: int) -> List[int]:
+    """n non-negative integers, comma-separated, exactly as the writer prints them."""
+    values = [int(v) for v in text.split(",")]
+    if len(values) != n or min(values) < 0 or ",".join(str(v) for v in values) != text:
+        raise ValueError(text)
+    return values
+
+
 def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
     with open(path, "rb") as f:
         blob = f.read()
-    sep = b"---\n"
-    cut = blob.find(sep)
-    if cut < 0 or not blob.startswith(b"padlander-checkpoint v1"):
-        raise CheckpointFormatError(f"{path}: not a padlander v1 checkpoint")
+    cut = blob.find(_HEADER_END)
+    if cut < 0 or not blob.startswith(_MAGIC.encode() + b"\n"):
+        raise CheckpointFormatError(f"{path}: not a padlander v1 checkpoint (first line must be {_MAGIC!r})")
     try:
-        header = blob[:cut].decode("ascii")
+        lines = blob[:cut].decode("ascii").split("\n")
     except UnicodeDecodeError as e:
         raise CheckpointFormatError(f"{path}: header is not ASCII (byte {e.start})") from e
-    fields = {}
-    for line in header.splitlines()[1:]:
-        key, _, value = line.partition(" ")
-        fields[key] = value
+    fields = dict(line.partition(" ")[::2] for line in lines[1:])
+    payload = blob[cut + len(_HEADER_END) :]
 
-    def need(key: str, parse=str):
+    def need(key: str, parse):
         if key not in fields:
             raise CheckpointFormatError(f"{path}: header has no {key!r} line")
         try:
@@ -245,65 +273,38 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
         except (ValueError, TypeError, KeyError) as e:
             raise CheckpointFormatError(f"{path}: malformed {key!r} value {fields[key]!r}") from e
 
-    def ints(text: str) -> List[int]:
-        return [int(d) for d in text.split(",")]
+    def build(text: str) -> Td3Learner:
+        dims = [int(d) for d in text.split(",")]
+        # Refuse dims whose actor alone outgrows the payload before allocating it.
+        if min(dims) < 1 or 4 * sum(i * o + o for i, o in zip(dims[:-1], dims[1:])) > len(payload):
+            raise ValueError(text)
+        learner_hp = replace(hp or Td3Hyperparams(), hidden_dims=tuple(dims[1:-1]))
+        return Td3Learner(learner_hp, seed=0, obs_dim=dims[0], action_dim=dims[-1])
 
-    net_names = need("nets").split(",")
-    dims = {n: need(f"dims.{n}", ints) for n in net_names}
-    if "actor" not in dims or "critic1" not in dims:
-        raise CheckpointFormatError(f"{path}: header nets {net_names} lack actor or critic1")
+    learner = need("dims.actor", build)
+    _, flats, opts = _layout(learner)
+    optimizer_state = need("optimizer_state", lambda text: {"0": 0, "1": 1}[text])
+    for opt, t in zip(opts, need("adam_t", lambda text: _counts(text, len(opts)))):
+        opt.t = t
+    (learner.n_updates,) = need("n_updates", lambda text: _counts(text, 1))
+    need("rng", lambda text: setattr(learner.update_rng.bit_generator, "state", json.loads(text)))
+    # The writer's header for this learner must be the file's, line for line.
+    for n, (got, want) in enumerate(zip_longest(lines, _layout(learner, optimizer_state)[0]), 1):
+        if got != want:
+            key = (want or got).partition(" ")[0]
+            raise CheckpointFormatError(f"{path}: malformed {key!r} value in header line {n}: "
+                                        f"{got!r}, expected {want!r}")
 
-    hp = replace(hp or Td3Hyperparams(), hidden_dims=tuple(dims["actor"][1:-1]))
-    learner = Td3Learner(hp, seed=0, obs_dim=dims["actor"][0], action_dim=dims["actor"][-1])
-    if dims["critic1"][0] != learner.obs_dim + learner.action_dim:
-        raise CheckpointFormatError("critic input dim inconsistent with actor dims")
-
-    payload = blob[cut + len(sep) :]
+    # save_checkpoint always writes optimizer_state 1; older v1 files with 0
+    # hold the nets alone and load with zero Adam moments.
+    arrays = flats + (_moments(opts) if optimizer_state else [])
+    expected = 4 * sum(a.size for a in arrays)
+    if len(payload) != expected:
+        raise CheckpointFormatError(f"{path}: payload is {len(payload)} bytes, header promises {expected}")
     offset = 0
-
-    def take(shape):
-        nonlocal offset
-        n = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f4", count=n, offset=offset).reshape(shape).copy()
-        offset += 4 * n
-        return arr
-
-    nets = [
-        learner.actor,
-        learner.critic1,
-        learner.critic2,
-        learner.target_actor,
-        learner.target_critic1,
-        learner.target_critic2,
-    ]
-    try:
-        for net in nets:
-            net.load_flat(take(net.flat.shape))
-    except ValueError as e:
-        raise CheckpointFormatError(f"{path}: payload shorter than header promises") from e
-
-    opts = [learner.actor_opt, learner.critic1_opt, learner.critic2_opt]
-    # save_checkpoint always writes 1; older v1 files with 0 load with zero Adam moments.
-    if need("optimizer_state") == "1":
-        try:
-            for opt in opts:
-                opt.m[:] = take(opt.m.shape)
-                opt.v[:] = take(opt.v.shape)
-        except ValueError as e:
-            raise CheckpointFormatError(f"{path}: optimizer payload truncated") from e
-    if offset != len(payload):
-        raise CheckpointFormatError(f"{path}: {len(payload) - offset} trailing payload bytes")
-
-    def set_adam_t(text: str) -> None:
-        for opt, t in zip(opts, ints(text), strict=True):
-            opt.t = t
-
-    def set_rng(text: str) -> None:
-        learner.update_rng.bit_generator.state = json.loads(text)
-
-    need("adam_t", set_adam_t)
-    learner.n_updates = need("n_updates", int)
-    need("rng", set_rng)
+    for a in arrays:
+        a[:] = np.frombuffer(payload, dtype="<f4", count=a.size, offset=offset)
+        offset += 4 * a.size
     return learner
 
 

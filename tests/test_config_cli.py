@@ -245,10 +245,27 @@ class TestCliExitCodes:
         "baseline.approach_height=-0.5",
         "baseline.align_radius=0",
         "baseline.measurement_sigma=-0.1",
+        "seed=-4",
+        "seed=four",
     ])
     def test_unusable_value_is_usage_error_naming_key(self, item, capsys):
         assert main(["config-dump", "-o", item]) == 2
         assert item.partition("=")[0] in capsys.readouterr().err
+
+    # Each of these used to fail only at runtime (exit 1), some after making a run directory.
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--seed", "-1", "--total-steps", "1"], "seed"),
+        (["benchmark", "--baseline", "--trials", "0", "--scenario", "SPL"], "--trials"),
+        (["reward-surface", "--range", "nan"], "--range"),
+        (["reward-surface", "--range", "inf"], "--range"),
+        (["reward-surface", "--range", "0"], "--range"),
+        (["reward-surface", "--z", "nan"], "--z"),
+    ], ids=["train-seed", "benchmark-trials", "range-nan", "range-inf", "range-zero", "z-nan"])
+    def test_unusable_flag_is_usage_error_before_any_output(self, tmp_path, monkeypatch, argv, named, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["-o", f"outdir={tmp_path / 'runs'}"]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCliCommands:
@@ -408,6 +425,23 @@ class TestCliCommands:
         rc = main(["replay", str(bad)])
         assert rc == 2
         assert "WRONG" in capsys.readouterr().err
+
+    def test_replay_short_row_names_line_and_column(self, tmp_path, capsys):
+        trace = tmp_path / "short.csv"
+        row = ["0"] * 23 + ["None"]
+        trace.write_text(f"{TRACE_COLUMNS}\n" + "".join(",".join(r) + "\n" for r in (row, row[:19], row)))
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and "line 3" in err and "'fx'" in err
+
+    def test_replay_non_numeric_cell_names_line_and_column(self, tmp_path, capsys):
+        trace = tmp_path / "bad.csv"
+        row = ["0"] * 23 + ["None"]
+        bad = row[:14] + ["abc"] + row[15:]
+        trace.write_text(f"{TRACE_COLUMNS}\n" + "".join(",".join(r) + "\n" for r in (row, row, bad)))
+        assert main(["replay", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and "line 4" in err and "'pad_y'" in err and "'abc'" in err
 
     def test_replay_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"

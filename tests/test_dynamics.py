@@ -7,6 +7,7 @@ from padlander.dynamics import (
     ActionBoundError,
     DroneParams,
     DroneState,
+    VEL_ENVELOPE,
     StateCorruptionError,
     apply_setpoint_delta,
     step_drone_many,
@@ -21,7 +22,7 @@ def step_by_reference(state, params, force, dt, n_substeps):
     vx, vy, vz = (float(c) for c in state.velocity)
     roll, pitch = float(state.attitude[0]), float(state.attitude[1])
     spx, spy, spz = (float(c) for c in state.setpoint)
-    ex, ey, ez = (float(c) for c in params.vel_envelope)
+    ex, ey, ez = (float(c) for c in VEL_ENVELOPE)
     fax, fay, faz = (float(c) / params.mass for c in force)
     kp, inv_tau, a_max, g = params.kp_pos, 1.0 / params.tau_v, params.a_max, params.gravity
     for _ in range(n_substeps):

@@ -14,3 +14,17 @@ def test_every_span_target_resolves(monkeypatch):
     for owner, attr, _ in targets:
         assert attr in owner.__dict__, f"{owner.__name__}.{attr} is gone; the traced benchmark run wraps it"
         assert callable(owner.__dict__[attr])
+
+
+def test_learner_state_is_the_checkpoint_layout(monkeypatch):
+    # The benchmark keeps its own copy of the checkpoint order; it must agree with td3._layout.
+    from padlander import td3
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    learner = td3.Td3Learner(td3.Td3Hyperparams(hidden_dims=(4,)), seed=0)
+    arrays, _ = workloads.learner_state(learner)
+    _, flats, opts = td3._layout(learner)
+    layout = flats + [a for opt in opts for a in (opt.m, opt.v)]
+    assert len(arrays) == len(layout) == 12
+    assert all(a is b for a, b in zip(arrays, layout))

@@ -1,7 +1,11 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlander.environment import EnvConfig, LandingEnv
 from padlander.scenario import ScenarioKind, ScenarioSpec
@@ -12,6 +16,7 @@ from padlander.td3 import (
     Td3Hyperparams,
     Td3Learner,
     load_checkpoint,
+    _layout,
     save_checkpoint,
     train,
 )
@@ -228,6 +233,94 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint\n---\n")
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
+
+    # Header lines of a hidden_dims (16, 16) checkpoint, each with a value the
+    # writer would not write, and the key the error must name. The loader
+    # rebuilds the learner from dims.actor, so a well-formed but different
+    # dims.actor is named by the first line that disagrees with it.
+    @pytest.mark.parametrize("line, bad, named", [
+        ("padlander-checkpoint v1", "padlander-checkpoint v17", "not a padlander v1 checkpoint"),
+        ("nets actor,critic1,critic2,target_actor,target_critic1,target_critic2",
+         "nets critic1,actor,critic2,target_actor,target_critic1,target_critic2", "malformed 'nets'"),
+        ("dims.actor 15,16,16,3", "dims.actor 15,16,0,3", "malformed 'dims.actor'"),
+        ("dims.actor 15,16,16,3", "dims.actor 15,16,16,3,", "malformed 'dims.actor'"),
+        ("dims.actor 15,16,16,3", "dims.actor 15,16,17,3", "malformed 'dims.critic1'"),
+        # More actor parameters than the whole payload holds: refused before allocating.
+        ("dims.actor 15,16,16,3", "dims.actor 15,1000,1000,3", "malformed 'dims.actor'"),
+        ("activation.actor relu/tanh", "activation.actor relu/linear", "malformed 'activation.actor'"),
+        ("dims.critic1 18,16,16,1", "dims.critic1 18,16,16,2", "malformed 'dims.critic1'"),
+        ("activation.critic1 relu/linear", "activation.critic1 relu/tanh", "malformed 'activation.critic1'"),
+        ("dims.critic2 18,16,16,1", "dims.critic2 18,16,17,1", "malformed 'dims.critic2'"),
+        ("activation.critic2 relu/linear", "activation.critic2 sigmoid", "malformed 'activation.critic2'"),
+        ("dims.target_actor 15,16,16,3", "dims.target_actor 15,16,16,4", "malformed 'dims.target_actor'"),
+        ("activation.target_actor relu/tanh", "activation.target_actor relu/linear",
+         "malformed 'activation.target_actor'"),
+        ("dims.target_critic1 18,16,16,1", "dims.target_critic1 18,8,1", "malformed 'dims.target_critic1'"),
+        ("activation.target_critic1 relu/linear", "activation.target_critic1 relu/tanh",
+         "malformed 'activation.target_critic1'"),
+        ("dims.target_critic2 18,16,16,1", "dims.target_critic2  18,16,16,1", "malformed 'dims.target_critic2'"),
+        ("activation.target_critic2 relu/linear", "activation.target_critic2 relu/tanh",
+         "malformed 'activation.target_critic2'"),
+        ("optimizer_state 1", "optimizer_state 2", "malformed 'optimizer_state'"),
+        ("n_updates 0", "n_updates -7", "malformed 'n_updates'"),
+        ("n_updates 0", "n_updates +0", "malformed 'n_updates'"),
+        ("adam_t 0,0,0", "adam_t -1,0,0", "malformed 'adam_t'"),
+        ("adam_t 0,0,0", "adam_t 0, 0,0", "malformed 'adam_t'"),
+    ])
+    def test_header_must_be_what_the_writer_writes(self, tmp_path, line, bad, named):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=17))
+        blob = path.read_bytes()
+        old = line.encode() + b"\n"
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, bad.encode() + b"\n"))
+        with pytest.raises(CheckpointFormatError, match=named):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, first_bad", [("repeat", 4), ("swap", 3)])
+    def test_header_lines_in_writer_order_only(self, tmp_path, edit, first_bad):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=20))
+        blob = path.read_bytes()
+        cut = blob.index(b"\n---\n")
+        lines = blob[:cut].split(b"\n")
+        if edit == "repeat":
+            lines.insert(3, lines[2])
+        else:
+            lines[2], lines[3] = lines[3], lines[2]
+        path.write_bytes(b"\n".join(lines) + blob[cut:])
+        with pytest.raises(CheckpointFormatError, match=f"header line {first_bad}:"):
+            load_checkpoint(path)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 8), min_size=1, max_size=3),
+        obs_dim=st.integers(1, 4),
+        action_dim=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_round_trip_is_bit_exact_for_any_architecture(self, hidden, obs_dim, action_dim, seed):
+        learner = Td3Learner(Td3Hyperparams(hidden_dims=tuple(hidden)), seed=seed,
+                             obs_dim=obs_dim, action_dim=action_dim)
+        fill = np.random.default_rng(seed)
+        _, flats, opts = _layout(learner)
+        arrays = flats + [a for opt in opts for a in (opt.m, opt.v)]
+        for a in arrays:  # every float32 bit pattern, NaNs included
+            a[:] = fill.integers(0, 2**32, a.size, dtype=np.uint32).view(np.float32)
+        for opt in opts:
+            opt.t = int(fill.integers(0, 10**9))
+        learner.n_updates = int(fill.integers(0, 10**9))
+        learner.update_rng.random(int(fill.integers(0, 5)))
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "ckpt.bin"
+            save_checkpoint(path, learner)
+            loaded = load_checkpoint(path)
+        _, loaded_flats, loaded_opts = _layout(loaded)
+        for a, b in zip(arrays, loaded_flats + [a for opt in loaded_opts for a in (opt.m, opt.v)], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [opt.t for opt in loaded_opts] == [opt.t for opt in opts]
+        assert loaded.n_updates == learner.n_updates
+        assert loaded.update_rng.bit_generator.state == learner.update_rng.bit_generator.state
 
 
 class TestTrainLoop:
