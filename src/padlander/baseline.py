@@ -11,6 +11,12 @@ Kalman special case; the "extended" naming of the source design is kept.
 With constant Q and R its covariance/gain sequence does not depend on the
 data, so a KalmanModel computes it once per distinct covariance and every
 later episode reuses it; only the state estimate x is computed per step.
+
+As in the environment, the guidance and PID 3-vector math runs on Python
+floats read with tolist(), and an array is built once, where a record or a
+caller needs it (PidState, the returned setpoint delta). The filter's
+matrix products stay numpy: a float rewrite of A @ x or K @ innovation
+could round differently.
 """
 
 import math
@@ -181,16 +187,50 @@ class PidController:
             raise ValueError(
                 f"integral_clamp and output_clamp must be positive, got {self.integral_clamp}, {self.output_clamp}"
             )
+        # command() reads the per-axis gains with tolist(), so kp is held as a float 3-vector.
+        kp = np.asarray(self.kp, dtype=float)
+        if kp.shape != (3,):
+            kp = np.broadcast_to(kp, (3,)).copy()
+        object.__setattr__(self, "kp", kp)
 
     def command(self, state: "PidState", error: np.ndarray, dt: float) -> np.ndarray:
         """PID on the position error, clamped to the actuation bound; advances state."""
-        error = np.asarray(error, dtype=float)
-        integral = np.maximum(state.integral + error * dt, -self.integral_clamp)
-        state.integral = np.minimum(integral, self.integral_clamp)
-        derivative = np.zeros(3) if state.prev_error is None else (error - state.prev_error) / dt
-        state.prev_error = error.copy()
-        out = self.kp * error + self.ki * state.integral + self.kd * derivative
-        return np.minimum(np.maximum(out, -self.output_clamp), self.output_clamp)
+        error = np.array(error, dtype=float)  # a copy: it becomes state.prev_error
+        ex, ey, ez = error.tolist()
+        ix, iy, iz = state.integral.tolist()
+        # Each clamp is np.maximum, then np.minimum, per component: NaN passes through.
+        hi = self.integral_clamp
+        lo = -hi
+        ix += ex * dt
+        ix = lo if ix < lo else ix
+        ix = hi if ix > hi else ix
+        iy += ey * dt
+        iy = lo if iy < lo else iy
+        iy = hi if iy > hi else iy
+        iz += ez * dt
+        iz = lo if iz < lo else iz
+        iz = hi if iz > hi else iz
+        state.integral = np.array([ix, iy, iz])
+        if state.prev_error is None:
+            dx = dy = dz = 0.0
+        else:
+            px, py, pz = state.prev_error.tolist()
+            dx, dy, dz = (ex - px) / dt, (ey - py) / dt, (ez - pz) / dt
+        state.prev_error = error
+        kx, ky, kz = self.kp.tolist()
+        ki, kd = self.ki, self.kd
+        hi = self.output_clamp
+        lo = -hi
+        ox = kx * ex + ki * ix + kd * dx
+        ox = lo if ox < lo else ox
+        ox = hi if ox > hi else ox
+        oy = ky * ey + ki * iy + kd * dy
+        oy = lo if oy < lo else oy
+        oy = hi if oy > hi else oy
+        oz = kz * ez + ki * iz + kd * dz
+        oz = lo if oz < lo else oz
+        oz = hi if oz > hi else oz
+        return np.array([ox, oy, oz])
 
 
 @dataclass
@@ -228,14 +268,17 @@ def pursuit_command(
     cfg: PursuitConfig,
 ):
     """One guidance tick: returns (setpoint delta, new approach offset)."""
-    pad_pos = est.x[:3]
-    pad_vel = est.x[3:]
-    target = pad_pos + pad_vel * cfg.lookahead
-    lateral_error = float(np.hypot(target[0] - drone.position[0], target[1] - drone.position[1]))
+    x, y, z, vx, vy, vz = est.x.tolist()
+    lookahead = cfg.lookahead
+    tx, ty, tz = x + vx * lookahead, y + vy * lookahead, z + vz * lookahead
+    px, py, pz = drone.position.tolist()
+    # np.hypot, not math.hypot: the two round differently on some inputs.
+    lateral_error = float(np.hypot(tx - px, ty - py))
     if lateral_error < cfg.align_radius:
         approach_offset = max(0.0, approach_offset - cfg.descent_rate * dt)
-    target = target + np.array([0.0, 0.0, approach_offset])
-    delta = pid.command(pid_state, target - drone.position, dt)
+    # The target lifted by (0, 0, offset); its + 0.0 turns a -0.0 into 0.0.
+    error = ((tx + 0.0) - px, (ty + 0.0) - py, (tz + approach_offset) - pz)
+    delta = pid.command(pid_state, error, dt)
     return delta, approach_offset
 
 
@@ -270,15 +313,15 @@ def run_baseline_episode(
     drone = env.drone
     approach_offset = cfg.approach_height
 
+    action_scale, sigma, normal = env.cfg.action_scale, cfg.measurement_sigma, meas_rng.normal
     outcomes, est_rows = [], []
     terminal = Terminal.NONE
     while terminal is Terminal.NONE:
         ekf = ekf_predict(ekf)
         delta, approach_offset = pursuit_command(ekf, drone, pid, pid_state, approach_offset, dt, cfg)
-        out = env.step(delta / env.cfg.action_scale)
+        out = env.step(delta / action_scale)
         drone = out.drone
-        z = out.pad.position + meas_rng.normal(0.0, cfg.measurement_sigma, size=3)
-        ekf = ekf_update(ekf, z)
+        ekf = ekf_update(ekf, out.pad.position + normal(0.0, sigma, size=3))
         outcomes.append(out)
         est_rows.append(_ESTIMATOR_ROW % tuple(ekf.x.tolist()))
         terminal = out.terminal

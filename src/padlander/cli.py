@@ -72,7 +72,7 @@ def _scenario_list(names) -> list:
 def cmd_train(args) -> int:
     cfg = _load(args)
     if args.total_steps is not None:
-        cfg = replace(cfg, td3=replace(cfg.td3, total_steps=args.total_steps))
+        cfg = apply_item(cfg, "td3.total_steps", str(args.total_steps))
     outdir = _run_dir(cfg, "train", not args.timestamp_dir)
     _write_resolved(outdir, cfg)
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from padlander.records import frozen_record
+
 VEL_ENVELOPE = (3.0, 3.0, 2.0)  # m/s, per component
 SETPOINT_DELTA_BOUND = 0.1  # m, max |delta| per axis per command
 
@@ -38,7 +40,7 @@ def _vec3(x) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DroneState:
     position: np.ndarray  # m, world frame
     velocity: np.ndarray  # m/s
@@ -96,10 +98,12 @@ def step_drone_many(
 
     px, py, pz = state.position.tolist()
     vx, vy, vz = state.velocity.tolist()
-    roll, pitch = state.attitude[:2].tolist()
+    roll, pitch, _ = state.attitude.tolist()
     spx, spy, spz = state.setpoint.tolist()
     ex, ey, ez = VEL_ENVELOPE
-    fax, fay, faz = (f / params.mass for f in force.tolist())
+    fx, fy, fz = force.tolist()
+    mass = params.mass
+    fax, fay, faz = fx / mass, fy / mass, fz / mass
     # one fused scalar check: any nan/inf in the inputs poisons the sum
     probe = px + py + pz + vx + vy + vz + spx + spy + spz + roll + pitch
     if not math.isfinite(probe) or not math.isfinite(fax + fay + faz):

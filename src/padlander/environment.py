@@ -9,6 +9,14 @@ The 15-component observation is, in order: attitude (3), linear velocity (3),
 angular velocity (3), pad position relative to the drone (3), pad velocity
 relative to the drone (3); each component clipped to its bound and divided
 by it, so the observation lives in [-1, 1]^15.
+
+Inside a step, 3-vector math runs on Python floats read with tolist(), and
+numpy arrays are built once, where a record (DroneState, PlatformState,
+StepOutcome, the observation) holds them: on 3-vectors, numpy's per-call
+dispatch costs more than the arithmetic. Elementwise + - * / and the
+comparison clamps give the same bits either way; each clamp is written
+`lo if v < lo else v`, then `hi if v > hi else v`, which passes NaN through
+as np.maximum/np.minimum do.
 """
 
 import enum
@@ -19,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from padlander.dynamics import DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, step_drone_many
+from padlander.records import frozen_record
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
 from padlander.scenario import (
@@ -101,22 +110,20 @@ class EnvConfig:
 
 def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> np.ndarray:
     """Assemble, clip and normalize the 15-component observation."""
-    raw = np.concatenate(
-        [
-            drone.attitude,
-            drone.velocity,
-            drone.angular_velocity,
-            pad.position - drone.position,
-            pad.velocity - drone.velocity,
-        ]
-    )
-    if not np.isfinite(raw).all():
+    px, py, pz = drone.position.tolist()
+    vx, vy, vz = drone.velocity.tolist()
+    qx, qy, qz = pad.position.tolist()
+    ux, uy, uz = pad.velocity.tolist()
+    # pad - drone, never -(drone - pad): a zero difference keeps its sign.
+    raw = drone.attitude.tolist() + [vx, vy, vz] + drone.angular_velocity.tolist() + [
+        qx - px, qy - py, qz - pz, ux - vx, uy - vy, uz - vz]
+    if not all(map(math.isfinite, raw)):
         raise StateCorruptionError("non-finite state in observation assembly")
     bounds = cfg.norm_bounds
-    return np.minimum(np.maximum(raw, -bounds), bounds) / bounds
+    return np.minimum(np.maximum(np.array(raw), -bounds), bounds) / bounds
 
 
-@dataclass(frozen=True)
+@frozen_record
 class StepOutcome:
     """What one control step produced; t, drone and pad are post-step."""
 
@@ -149,6 +156,10 @@ class LandingEnv:
         self.cfg = env_cfg or EnvConfig()
         self.reward_cfg = reward_cfg or RewardConfig()
         self.drone_params = drone_params or DroneParams()
+        # The clocks come from the frozen cfg once.
+        self._control_dt = 1.0 / self.cfg.control_hz
+        self._physics_dt = 1.0 / self.cfg.physics_hz
+        self._substeps = self.cfg.physics_hz // self.cfg.control_hz
         self._drone: Optional[DroneState] = None
         self._wind: Optional[WindState] = None
         self._wind_rng: Optional[np.random.Generator] = None
@@ -160,7 +171,7 @@ class LandingEnv:
 
     @property
     def control_dt(self) -> float:
-        return 1.0 / self.cfg.control_hz
+        return self._control_dt
 
     @property
     def drone(self) -> Optional[DroneState]:
@@ -173,7 +184,7 @@ class LandingEnv:
 
     @property
     def substeps(self) -> int:
-        return self.cfg.physics_hz // self.cfg.control_hz
+        return self._substeps
 
     @property
     def max_steps(self) -> int:
@@ -237,18 +248,25 @@ class LandingEnv:
         a = np.asarray(action, dtype=float)
         if a.shape != (3,):
             raise ActionRangeError(f"action must be a 3-vector, got shape {a.shape}")
-        if not np.abs(a).max() <= 1.0 + 1e-6:  # NaN fails this too
+        x, y, z = a.tolist()
+        grace = 1.0 + 1e-6
+        if not (abs(x) <= grace and abs(y) <= grace and abs(z) <= grace):  # NaN fails this too
             raise ActionRangeError(f"action {a} outside [-1, 1]")
-        a = np.minimum(np.maximum(a, -1.0), 1.0)
+        x = -1.0 if x < -1.0 else x
+        x = 1.0 if x > 1.0 else x
+        y = -1.0 if y < -1.0 else y
+        y = 1.0 if y > 1.0 else y
+        z = -1.0 if z < -1.0 else z
+        z = 1.0 if z > 1.0 else z
+        a = np.array([x, y, z])
 
-        self._wind = sample_wind_step(self._wind, self._wind_rng)
+        self._wind = wind = sample_wind_step(self._wind, self._wind_rng)
         drone = apply_setpoint_delta(self._drone, self.cfg.action_scale * a)
-        dt = 1.0 / self.cfg.physics_hz
-        drone = step_drone_many(drone, self.drone_params, self._wind.force, dt, self.substeps)
+        drone = step_drone_many(drone, self.drone_params, wind.force, self._physics_dt, self._substeps)
 
         self._step_count += 1
-        self._t = self._step_count * self.control_dt
-        pad = platform_at(self._spec, self._t)
+        self._t = t = self._step_count * self._control_dt
+        pad = platform_at(self._spec, t)
 
         rel = drone.position - pad.position
         rel_v = drone.velocity - pad.velocity
@@ -259,10 +277,10 @@ class LandingEnv:
         reward = compute_reward(rel, rel_v, self._prev_distance, None, rz < 0.0, near_edge, self.reward_cfg)
         self._prev_distance = d
 
-        self._terminal = self._classify(rel_xyz, rel_v.tolist(), d, pad.half_extent, self._t)
+        self._terminal = terminal = self._classify(rel_xyz, rel_v.tolist(), d, pad.half_extent, t)
         self._drone = drone
         observation = build_observation(drone, pad, self.cfg)
-        return StepOutcome(observation, reward, self._terminal, self._t, drone, pad, a, self._wind.force)
+        return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind.force)
 
 
 TRACE_COLUMNS = (

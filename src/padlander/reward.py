@@ -19,6 +19,8 @@ from typing import Optional
 
 import numpy as np
 
+from padlander.records import frozen_record
+
 
 class RewardCase(enum.Enum):
     FAR = "Far"
@@ -47,11 +49,20 @@ class RewardConfig:
     def __post_init__(self):
         if not self.far_radius > self.near_radius > 0:
             raise ValueError("need far_radius > near_radius > 0")
+        # Written as `not (ok)` so that NaN fails each check. A sign flip here
+        # turns a penalty into a reward (or back) without any other symptom.
+        if not self.gamma < 0.0:
+            raise ValueError(f"gamma must be negative, got {self.gamma}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        for name in ("zeta", "beta_below", "beta_edge", "k_delta"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.q_max <= 0:
             raise ValueError("q_max must be positive")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class RewardBreakdown:
     total: float
     case_id: RewardCase

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from padlander.records import frozen_record
+
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
 # (spec, segment) entries kept by the LMPL segment table. Every episode has its
 # own spec, and a 20 s episode at the default 3 s period has 7 segments.
@@ -33,7 +35,7 @@ class ScenarioKind(enum.Enum):
     CTL = "CTL"
 
 
-@dataclass(frozen=True)
+@frozen_record
 class PlatformState:
     position: np.ndarray  # m, pad center, top surface
     velocity: np.ndarray  # m/s
@@ -57,12 +59,17 @@ class ScenarioSpec:
             raise ValueError("direction_change_period and curve_radius must be positive")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class WindState:
     episode_windy: bool
     force: np.ndarray  # N, currently applied
     p_step: float
     component_bound: float  # N
+
+
+# The force of every calm step: one shared, read-only zero vector.
+CALM_FORCE = np.zeros(3)
+CALM_FORCE.setflags(write=False)
 
 
 def init_wind(
@@ -77,16 +84,20 @@ def init_wind(
     if bound < 0:
         raise ValueError("force bound must be non-negative")
     windy = bool(rng.uniform() < p_episode)
-    return WindState(windy, np.zeros(3), p_step, bound)
+    return WindState(windy, CALM_FORCE, p_step, bound)
 
 
 def sample_wind_step(state: WindState, rng: np.random.Generator) -> WindState:
-    """Resample the applied force for one control step of the episode."""
+    """Resample the applied force for one control step of the episode.
+
+    A calm step applies CALM_FORCE; after a calm step it returns state itself.
+    """
     if state.episode_windy and rng.uniform() < state.p_step:
         force = rng.uniform(-state.component_bound, state.component_bound, size=3)
-    else:
-        force = np.zeros(3)
-    return WindState(state.episode_windy, force, state.p_step, state.component_bound)
+        return WindState(state.episode_windy, force, state.p_step, state.component_bound)
+    if state.force is CALM_FORCE:
+        return state
+    return WindState(state.episode_windy, CALM_FORCE, state.p_step, state.component_bound)
 
 
 def _segment_heading(spec: ScenarioSpec, k: int) -> float:
@@ -123,10 +134,9 @@ def _lmpl(spec: ScenarioSpec, t: float):
         cx, cy = math.cos(spec.initial_heading), math.sin(spec.initial_heading)
     else:
         ox, oy, cx, cy = _lmpl_segment(spec, k)
-    along = spec.speed * (t - k * period)
-    pos = np.array([ox + along * cx, oy + along * cy, 0.0])
-    vel = spec.speed * np.array([cx, cy, 0.0])
-    return pos, vel
+    speed = spec.speed
+    along = speed * (t - k * period)
+    return ox + along * cx, oy + along * cy, 0.0, speed * cx, speed * cy, speed * 0.0
 
 
 def _arc_angle(spec: ScenarioSpec, t: float):
@@ -144,35 +154,45 @@ def _arc_angle(spec: ScenarioSpec, t: float):
 def _cmpl(spec: ScenarioSpec, t: float):
     r = spec.curve_radius
     theta, dtheta = _arc_angle(spec, t)
-    center = np.array([-r, 0.0, 0.0])  # circle through the origin at t = 0
-    pos = center + r * np.array([math.cos(theta), math.sin(theta), 0.0])
-    vel = r * dtheta * np.array([-math.sin(theta), math.cos(theta), 0.0])
-    return pos, vel
+    c, s = math.cos(theta), math.sin(theta)
+    # A circle through the origin at t = 0, centred at (-r, 0, 0). The traces
+    # pin the sign of each zero: the + 0.0 turns a -0.0 into 0.0, and
+    # r * dtheta * 0.0 is -0.0 on a reversed arc.
+    w = r * dtheta
+    return -r + r * c, 0.0 + r * s, 0.0 + r * 0.0, w * -s, w * c, w * 0.0
 
 
 def _ctl(spec: ScenarioSpec, t: float):
-    pos, vel = _cmpl(spec, t)
+    px, py, pz, vx, vy, vz = _cmpl(spec, t)
     # Vertical period is twice the heading period so the peak vertical speed
     # stays well inside the platform envelope at the default amplitude.
     omega_z = 2.0 * math.pi / (2.0 * spec.direction_change_period)
-    pos = pos + np.array([0.0, 0.0, spec.vertical_amplitude * math.sin(omega_z * t)])
-    vel = vel + np.array([0.0, 0.0, spec.vertical_amplitude * omega_z * math.cos(omega_z * t)])
-    return pos, vel
+    a = spec.vertical_amplitude
+    return (px + 0.0, py + 0.0, pz + a * math.sin(omega_z * t),
+            vx + 0.0, vy + 0.0, vz + a * omega_z * math.cos(omega_z * t))
 
 
 def platform_at(spec: ScenarioSpec, t: float) -> PlatformState:
     """Platform state at time t; pure in (spec, t)."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    if spec.kind is ScenarioKind.SPL:
-        pos, vel = np.zeros(3), np.zeros(3)
-    elif spec.kind is ScenarioKind.LMPL:
-        pos, vel = _lmpl(spec, t)
-    elif spec.kind is ScenarioKind.CMPL:
-        pos, vel = _cmpl(spec, t)
-    elif spec.kind is ScenarioKind.CTL:
-        pos, vel = _ctl(spec, t)
+    kind = spec.kind
+    if kind is ScenarioKind.SPL:
+        px = py = pz = vx = vy = vz = 0.0
+    elif kind is ScenarioKind.LMPL:
+        px, py, pz, vx, vy, vz = _lmpl(spec, t)
+    elif kind is ScenarioKind.CMPL:
+        px, py, pz, vx, vy, vz = _cmpl(spec, t)
+    elif kind is ScenarioKind.CTL:
+        px, py, pz, vx, vy, vz = _ctl(spec, t)
     else:  # pragma: no cover
         raise ValueError(f"unknown scenario kind {spec.kind}")
-    vel = np.minimum(np.maximum(vel, -PLATFORM_SPEED_LIMIT), PLATFORM_SPEED_LIMIT)
-    return PlatformState(pos, vel)
+    # np.minimum(np.maximum(v, lo), hi) per component: NaN passes through.
+    lo, hi = -PLATFORM_SPEED_LIMIT, PLATFORM_SPEED_LIMIT
+    vx = lo if vx < lo else vx
+    vx = hi if vx > hi else vx
+    vy = lo if vy < lo else vy
+    vy = hi if vy > hi else vy
+    vz = lo if vz < lo else vz
+    vz = hi if vz > hi else vz
+    return PlatformState(np.array([px, py, pz]), np.array([vx, vy, vz]))

@@ -73,6 +73,14 @@ class Td3Hyperparams:
         for name in ("target_noise_sigma", "target_noise_clip", "exploration_noise_sigma"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        # Run lengths: an interval of 0 turns evaluation or checkpoints off.
+        if not self.total_steps >= 1:
+            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
+        for name in ("learning_starts", "eval_interval", "checkpoint_interval"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if not self.eval_episodes >= 1:  # train() divides by it after each evaluation
+            raise ValueError(f"eval_episodes must be >= 1, got {self.eval_episodes}")
 
 
 class ReplayBuffer:

@@ -238,6 +238,21 @@ class TestCliExitCodes:
         "td3.target_noise_sigma=-0.1",
         "td3.target_noise_clip=-1",
         "td3.exploration_noise_sigma=nan",
+        "td3.total_steps=0",
+        "td3.total_steps=-3",
+        "td3.learning_starts=-1",
+        "td3.eval_interval=-1",
+        "td3.eval_episodes=0",
+        "td3.checkpoint_interval=-5",
+        "reward.gamma=0",
+        "reward.gamma=2",
+        "reward.gamma=nan",
+        "reward.alpha=0",
+        "reward.alpha=nan",
+        "reward.zeta=-1",
+        "reward.beta_below=-0.5",
+        "reward.beta_edge=nan",
+        "reward.k_delta=-3",
         "baseline.lookahead=nan",
         "baseline.lookahead=-0.1",
         "baseline.descent_rate=-1",
@@ -260,7 +275,11 @@ class TestCliExitCodes:
         (["reward-surface", "--range", "inf"], "--range"),
         (["reward-surface", "--range", "0"], "--range"),
         (["reward-surface", "--z", "nan"], "--z"),
-    ], ids=["train-seed", "benchmark-trials", "range-nan", "range-inf", "range-zero", "z-nan"])
+        (["train", "--total-steps", "-3", "-o", "td3.eval_interval=0"], "td3.total_steps"),
+        (["train", "--total-steps", "5", "-o", "td3.eval_interval=2", "-o", "td3.eval_episodes=0"],
+         "td3.eval_episodes"),
+    ], ids=["train-seed", "benchmark-trials", "range-nan", "range-inf", "range-zero", "z-nan",
+            "train-total-steps", "train-eval-episodes"])
     def test_unusable_flag_is_usage_error_before_any_output(self, tmp_path, monkeypatch, argv, named, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(argv + ["-o", f"outdir={tmp_path / 'runs'}"]) == 2
