@@ -26,7 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError, clamp
 from padlander.environment import LandingEnv, StepOutcome, Terminal
 from padlander.rng import substream
 
@@ -198,18 +198,8 @@ class PidController:
         error = np.array(error, dtype=float)  # a copy: it becomes state.prev_error
         ex, ey, ez = error.tolist()
         ix, iy, iz = state.integral.tolist()
-        # Each clamp is np.maximum, then np.minimum, per component: NaN passes through.
-        hi = self.integral_clamp
-        lo = -hi
-        ix += ex * dt
-        ix = lo if ix < lo else ix
-        ix = hi if ix > hi else ix
-        iy += ey * dt
-        iy = lo if iy < lo else iy
-        iy = hi if iy > hi else iy
-        iz += ez * dt
-        iz = lo if iz < lo else iz
-        iz = hi if iz > hi else iz
+        c = self.integral_clamp
+        ix, iy, iz = clamp(ix + ex * dt, -c, c), clamp(iy + ey * dt, -c, c), clamp(iz + ez * dt, -c, c)
         state.integral = np.array([ix, iy, iz])
         if state.prev_error is None:
             dx = dy = dz = 0.0
@@ -219,18 +209,9 @@ class PidController:
         state.prev_error = error
         kx, ky, kz = self.kp.tolist()
         ki, kd = self.ki, self.kd
-        hi = self.output_clamp
-        lo = -hi
-        ox = kx * ex + ki * ix + kd * dx
-        ox = lo if ox < lo else ox
-        ox = hi if ox > hi else ox
-        oy = ky * ey + ki * iy + kd * dy
-        oy = lo if oy < lo else oy
-        oy = hi if oy > hi else oy
-        oz = kz * ez + ki * iz + kd * dz
-        oz = lo if oz < lo else oz
-        oz = hi if oz > hi else oz
-        return np.array([ox, oy, oz])
+        c = self.output_clamp
+        return np.array([clamp(kx * ex + ki * ix + kd * dx, -c, c), clamp(ky * ey + ki * iy + kd * dy, -c, c),
+                         clamp(kz * ez + ki * iz + kd * dz, -c, c)])
 
 
 @dataclass

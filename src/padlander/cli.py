@@ -159,6 +159,8 @@ def cmd_reward_surface(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if args.downsample < 1:
+        raise ConfigError(f"--downsample must be >= 1, got {args.downsample}")
     expected = TRACE_COLUMNS.split(",")
     if not os.path.exists(args.trace):
         raise ConfigError(f"trace file not found: {args.trace}")
@@ -206,8 +208,7 @@ def cmd_replay(args) -> int:
         print(f"drone {name} range: [{min(vals):.3f}, {max(vals):.3f}] m")
 
     if args.out:
-        step = max(1, args.downsample)
-        keep = body[::step]
+        keep = body[::args.downsample]
         if keep[-1] is not body[-1]:
             keep.append(body[-1])  # endpoints preserved
         with open(args.out, "w") as f:

@@ -10,6 +10,7 @@ reproducible from artifacts alone.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
@@ -86,7 +87,10 @@ def _parse_value(text: str, target_type: type):
     if target_type is int:
         return int(text)
     if target_type is float:
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"expected a finite number, got {text!r}")
+        return value
     return text
 
 

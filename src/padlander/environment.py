@@ -13,10 +13,8 @@ by it, so the observation lives in [-1, 1]^15.
 Inside a step, 3-vector math runs on Python floats read with tolist(), and
 numpy arrays are built once, where a record (DroneState, PlatformState,
 StepOutcome, the observation) holds them: on 3-vectors, numpy's per-call
-dispatch costs more than the arithmetic. Elementwise + - * / and the
-comparison clamps give the same bits either way; each clamp is written
-`lo if v < lo else v`, then `hi if v > hi else v`, which passes NaN through
-as np.maximum/np.minimum do.
+dispatch costs more than the arithmetic. Elementwise + - * / and
+dynamics.clamp give the same bits either way.
 """
 
 import enum
@@ -26,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from padlander.dynamics import DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, step_drone_many
+from padlander.dynamics import (DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, clamp,
+                                step_drone_many)
 from padlander.records import frozen_record
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
@@ -182,14 +181,6 @@ class LandingEnv:
         """Scenario spec with the per-episode seed resolved at reset()."""
         return self._spec
 
-    @property
-    def substeps(self) -> int:
-        return self._substeps
-
-    @property
-    def max_steps(self) -> int:
-        return int(round(self.cfg.episode_cap * self.cfg.control_hz))
-
     def _spawn(self, rng: np.random.Generator, pad: PlatformState) -> np.ndarray:
         """Seeded point in the spawn hemisphere above the pad."""
         cfg = self.cfg
@@ -252,13 +243,7 @@ class LandingEnv:
         grace = 1.0 + 1e-6
         if not (abs(x) <= grace and abs(y) <= grace and abs(z) <= grace):  # NaN fails this too
             raise ActionRangeError(f"action {a} outside [-1, 1]")
-        x = -1.0 if x < -1.0 else x
-        x = 1.0 if x > 1.0 else x
-        y = -1.0 if y < -1.0 else y
-        y = 1.0 if y > 1.0 else y
-        z = -1.0 if z < -1.0 else z
-        z = 1.0 if z > 1.0 else z
-        a = np.array([x, y, z])
+        a = np.array([clamp(x, -1.0, 1.0), clamp(y, -1.0, 1.0), clamp(z, -1.0, 1.0)])
 
         self._wind = wind = sample_wind_step(self._wind, self._wind_rng)
         drone = apply_setpoint_delta(self._drone, self.cfg.action_scale * a)

@@ -24,7 +24,7 @@ Parameters default to float32; float64 is available for gradient
 verification against finite differences.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,15 +93,6 @@ class Mlp:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def unflatten(self, flat: np.ndarray) -> List[np.ndarray]:
-        """View a flat gradient buffer with the parameter layout."""
-        w, b = self._views(flat)
-        out = []
-        for wi, bi in zip(w, b):
-            out.append(wi)
-            out.append(bi)
-        return out
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x is (batch, in) or (in,). Returns a fresh array."""
         squeeze = x.ndim == 1
@@ -131,7 +122,7 @@ class Mlp:
         """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
         Requires a preceding forward() call; returns (flat_grads, d_input)
-        where flat_grads shares the layout of self.flat (see unflatten()).
+        where flat_grads shares the layout of self.flat.
         flat_grads is a buffer this net owns: the next backward() on the same
         net overwrites it. d_input is a fresh array. Either is None when its
         need_* flag is false, which skips its products: the layer-0 input
@@ -187,11 +178,6 @@ class Mlp:
         clone._reset_buffers()
         return clone
 
-    def load_flat(self, flat: np.ndarray) -> None:
-        if flat.shape != self.flat.shape:
-            raise ValueError(f"parameter vector shape {flat.shape} != {self.flat.shape}")
-        self.flat[:] = flat
-
     def polyak_from(self, online: "Mlp", tau: float) -> None:
         """target <- tau * online + (1 - tau) * target, in place."""
         keep, take = self.dtype(1.0 - tau), self.dtype(tau)
@@ -203,9 +189,6 @@ class Mlp:
             target *= keep
             np.multiply(online.flat[c], take, out=s)
             target += s
-
-    def all_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.flat)))
 
 
 class Adam:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from padlander.dynamics import clamp
 from padlander.records import frozen_record
 
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
@@ -187,12 +188,5 @@ def platform_at(spec: ScenarioSpec, t: float) -> PlatformState:
         px, py, pz, vx, vy, vz = _ctl(spec, t)
     else:  # pragma: no cover
         raise ValueError(f"unknown scenario kind {spec.kind}")
-    # np.minimum(np.maximum(v, lo), hi) per component: NaN passes through.
     lo, hi = -PLATFORM_SPEED_LIMIT, PLATFORM_SPEED_LIMIT
-    vx = lo if vx < lo else vx
-    vx = hi if vx > hi else vx
-    vy = lo if vy < lo else vy
-    vy = hi if vy > hi else vy
-    vz = lo if vz < lo else vz
-    vz = hi if vz > hi else vz
-    return PlatformState(np.array([px, py, pz]), np.array([vx, vy, vz]))
+    return PlatformState(np.array([px, py, pz]), np.array([clamp(vx, lo, hi), clamp(vy, lo, hi), clamp(vz, lo, hi)]))

@@ -267,6 +267,20 @@ class TestCliExitCodes:
         assert main(["config-dump", "-o", item]) == 2
         assert item.partition("=")[0] in capsys.readouterr().err
 
+    def test_non_finite_float_value_is_usage_error_naming_key(self, capsys):
+        assert main(["config-dump"]) == 0
+        keys = [line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()]
+        sections = [key.partition(".") for key in keys if "." in key]
+        float_keys = [f"{s}.{a}" for s, _, a in sections if isinstance(getattr(getattr(RunConfig(), s), a), float)]
+        # The keys whose own range checks let nan through.
+        assert {"drone.gravity", "drone.kp_pos", "drone.mass", "drone.tau_v", "scenario_params.curve_radius",
+                "scenario_params.direction_change_period", "scenario_params.initial_heading",
+                "scenario_params.vertical_amplitude", "td3.learning_rate", "pid.kd", "pid.ki"} <= set(float_keys)
+        for key in float_keys:
+            for value in ("nan", "inf", "-inf"):
+                assert main(["config-dump", "-o", f"{key}={value}"]) == 2, f"{key}={value}"
+                assert f"bad value for {key}:" in capsys.readouterr().err
+
     # Each of these used to fail only at runtime (exit 1), some after making a run directory.
     @pytest.mark.parametrize("argv, named", [
         (["train", "--seed", "-1", "--total-steps", "1"], "seed"),
@@ -461,6 +475,16 @@ class TestCliCommands:
         assert main(["replay", str(trace)]) == 2
         err = capsys.readouterr().err
         assert str(trace) in err and "line 4" in err and "'pad_y'" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("downsample", ["0", "-5"])
+    def test_replay_downsample_below_one_is_usage_error(self, tmp_path, downsample, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"{TRACE_COLUMNS}\n" + ",".join(["0"] * 23 + ["None"]) + "\n")
+        out = tmp_path / "down.csv"
+        assert main(["replay", str(trace), "--downsample", downsample, "--out", str(out)]) == 2
+        assert "--downsample" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["replay", str(trace), "--downsample", "1", "--out", str(out)]) == 0
 
     def test_replay_empty_file(self, tmp_path):
         empty = tmp_path / "empty.csv"

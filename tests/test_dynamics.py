@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from padlander.dynamics import (
     ActionBoundError,
@@ -10,6 +12,7 @@ from padlander.dynamics import (
     VEL_ENVELOPE,
     StateCorruptionError,
     apply_setpoint_delta,
+    clamp,
     step_drone_many,
 )
 
@@ -188,3 +191,26 @@ def test_non_finite_inputs_rejected():
     )
     with pytest.raises(StateCorruptionError):
         step_drone_many(bad, DroneParams(), np.zeros(3), DT, 1)
+
+
+@given(v=st.floats(), c=st.floats(min_value=0.0, exclude_min=True), tie=st.sampled_from([0, 1, -1]))
+@example(v=math.nan, c=1.0, tie=0)
+@example(v=-math.nan, c=0.46, tie=0)
+@example(v=0.0, c=1.0, tie=0)
+@example(v=-0.0, c=1.0, tie=0)
+@example(v=math.inf, c=1.0, tie=0)
+@example(v=-math.inf, c=1.0, tie=0)
+@example(v=0.0, c=math.inf, tie=1)
+@example(v=0.0, c=math.inf, tie=-1)
+@example(v=5e-324, c=1.0, tie=0)
+@example(v=-5e-324, c=5e-324, tie=0)
+@example(v=1e-310, c=5e-324, tie=0)
+@example(v=0.0, c=5e-324, tie=-1)
+@example(v=0.0, c=0.1, tie=1)
+@example(v=0.0, c=0.1, tie=-1)
+def test_clamp_matches_numpy_bits(v, c, tie):
+    """clamp(v, -c, c) has the bits of np.minimum(np.maximum(v, -c), c) for any c > 0."""
+    if tie:
+        v = tie * c
+    expected = np.minimum(np.maximum(np.float64(v), -c), c)
+    assert np.float64(clamp(v, -c, c)).tobytes() == expected.tobytes()

@@ -97,7 +97,7 @@ class TestStep:
     def test_timeout_at_exact_cap(self):
         env = make_env()
         env.reset(7)
-        for i in range(env.max_steps):
+        for i in range(round(env.cfg.episode_cap * env.cfg.control_hz)):
             out = env.step(np.zeros(3))
             if out.terminal is not Terminal.NONE:
                 break
@@ -144,7 +144,7 @@ class TestStep:
         # Open-loop proportional descent onto the static pad center.
         env = make_env()
         obs = env.reset(3)
-        for _ in range(env.max_steps):
+        for _ in range(round(env.cfg.episode_cap * env.cfg.control_hz)):
             rel = platform_at(env.episode_spec, env._t).position - env.drone.position
             action = np.clip(rel / env.cfg.action_scale, -1.0, 1.0)
             # soften the final approach to stay under the touchdown speed

@@ -86,7 +86,7 @@ class TestUpdate:
     def test_identical_twins_degenerate_min(self):
         hp = Td3Hyperparams(**SMALL)
         learner = Td3Learner(hp, seed=4)
-        learner.critic2.load_flat(learner.critic1.flat)
+        learner.critic2.flat[:] = learner.critic1.flat
         x = np.random.default_rng(5).normal(size=(3, 18)).astype(np.float32)
         assert np.array_equal(learner.critic1.forward(x), learner.critic2.forward(x))
 
@@ -356,6 +356,6 @@ class TestTrainLoop:
 
     def test_parameters_stay_finite(self):
         r = train(self.factory, self.smoke_hp(600), seed=33)
-        assert r.learner.actor.all_finite()
-        assert r.learner.critic1.all_finite()
-        assert r.learner.critic2.all_finite()
+        assert np.isfinite(r.learner.actor.flat).all()
+        assert np.isfinite(r.learner.critic1.flat).all()
+        assert np.isfinite(r.learner.critic2.flat).all()
