@@ -81,8 +81,9 @@ class DroneParams:
     gravity: float = 9.81  # m/s^2
 
     def __post_init__(self):
-        if self.mass <= 0 or self.tau_v <= 0:
-            raise ValueError("mass and tau_v must be positive")
+        for name in ("mass", "tau_v"):
+            if not getattr(self, name) > 0:  # `not (x > 0)` so that NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not self.a_max > 0:  # a non-positive clamp reverses the commanded acceleration
             raise ValueError("a_max must be positive")
 

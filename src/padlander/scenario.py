@@ -56,8 +56,9 @@ class ScenarioSpec:
     def __post_init__(self):
         if not 0.0 <= self.speed <= PLATFORM_SPEED_LIMIT:
             raise ValueError(f"platform speed must be in [0, {PLATFORM_SPEED_LIMIT}], got {self.speed}")
-        if self.direction_change_period <= 0 or self.curve_radius <= 0:
-            raise ValueError("direction_change_period and curve_radius must be positive")
+        for name in ("direction_change_period", "curve_radius"):
+            if not getattr(self, name) > 0:  # `not (x > 0)` so that NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @frozen_record

@@ -5,6 +5,22 @@ with target-policy smoothing noise; the actor ascends Q1(s, actor(s)) every
 policy_delay updates, after which all three target networks Polyak-average
 toward their online twins. Replay is a uniform ring buffer.
 
+An update runs in two lanes: the caller's thread and one long-lived worker
+thread. The caller draws the target noise (the update's only RNG use) and
+owns the target actor, target_critic1, critic1, the actor step and the
+target actor's Polyak update. The worker owns the target_critic2 forward,
+critic2's forward, backward and Adam step, on policy updates the
+pi = actor(obs) forward (the actor has not stepped since the last policy
+update), and the target critics' Polyak updates, which it runs while the
+caller steps the actor. The lanes join before y, before the actor step and
+before update() returns, even when a lane raises; a diverged critic is
+reported only after both joins, critic1 before critic2. Neither lane reads
+a buffer the other writes between two joins, each net keeps its own
+scratch buffers, and each lane runs its float operations in the sequential
+order, so every output byte equals the one-thread update. Below
+LANE_MIN_WORK the same lane functions run one after the other on the
+caller's thread.
+
 Checkpoints are an ASCII text header (format version, layer dims,
 activations, optimizer flag, Adam step counts, update count, RNG state)
 ended by a `---` line, then little-endian float32 arrays: the six nets'
@@ -21,6 +37,7 @@ Adam moments.
 """
 
 import json
+import os
 from dataclasses import dataclass, field, replace
 from itertools import zip_longest
 from typing import Callable, List, Optional
@@ -34,6 +51,11 @@ from padlander.rng import substream
 OBS_DIM = 15
 ACTION_DIM = 3
 HIDDEN = (512, 512, 256, 128)
+# Critic work per update, batch_size * critic.n_params, from which the update
+# runs its critic2 lane on a worker thread: below it, the hand-offs cost more
+# than the overlap saves (crossover table in CHANGES.md). Not a setting.
+LANE_MIN_WORK = 1 << 23
+_worker = None  # the one worker thread's executor, started on first use
 
 
 class TrainingDivergedError(RuntimeError):
@@ -160,48 +182,103 @@ class Td3Learner:
         hp = self.hp
         obs, actions, rewards, next_obs, terminals = batch
         b = obs.shape[0]
+        both = _both if b * self.critic1.n_params >= LANE_MIN_WORK else _inline
+        policy_step = (self.n_updates + 1) % hp.policy_delay == 0
 
         noise = self.update_rng.normal(0.0, hp.target_noise_sigma, size=(b, self.action_dim))
         noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
         next_actions = np.clip(self.target_actor.forward(next_obs) + noise, -1.0, 1.0)
 
         next_in = np.concatenate([next_obs, next_actions.astype(np.float32)], axis=1)
-        q1_t = self.target_critic1.forward(next_in)[:, 0]
-        q2_t = self.target_critic2.forward(next_in)[:, 0]
+        q1_t, q2_t = both(lambda: self.target_critic1.forward(next_in)[:, 0],
+                          lambda: self.target_critic2.forward(next_in)[:, 0])
         y = rewards + hp.discount * (1.0 - terminals) * np.minimum(q1_t, q2_t)
 
         critic_in = np.concatenate([obs, actions], axis=1)
+
+        def critic2_lane():
+            # The actor has not stepped since its last policy update, so pi is
+            # what the caller would compute after the critic steps.
+            pi = self.actor.forward(obs) if policy_step else None
+            return _critic_step(self.critic2, self.critic2_opt, critic_in, y), pi
+
+        stats1, (stats2, pi) = both(lambda: _critic_step(self.critic1, self.critic1_opt, critic_in, y),
+                                    critic2_lane)
         diags = {}
-        for name, critic, opt in (
-            ("critic1", self.critic1, self.critic1_opt),
-            ("critic2", self.critic2, self.critic2_opt),
-        ):
-            q = critic.forward(critic_in)[:, 0]
-            err = q - y
-            loss = float(np.mean(err**2))
+        for name, (loss, q_mean) in (("critic1", stats1), ("critic2", stats2)):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"{name} loss non-finite at update {self.n_updates}")
-            grads, _ = critic.backward((2.0 * err / b)[:, None], need_input_grad=False)
-            opt.step(grads)
             diags[f"{name}_loss"] = loss
-            diags[f"{name}_q_mean"] = float(np.mean(q))
+            diags[f"{name}_q_mean"] = q_mean
 
         self.n_updates += 1
-        if self.n_updates % hp.policy_delay == 0:
-            pi = self.actor.forward(obs)
-            actor_in = np.concatenate([obs, pi.astype(np.float32)], axis=1)
-            self.critic1.forward(actor_in)
-            # Ascend Q1: minimize -mean(Q1(s, pi(s))). Only dQ1/da is needed.
-            up = np.full((b, 1), -1.0 / b, dtype=np.float32)
-            _, d_in = self.critic1.backward(up, need_param_grads=False)
-            d_action = d_in[:, self.obs_dim :]
-            actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
-            self.actor_opt.step(actor_grads)
-            diags["actor_loss"] = float(-np.mean(self.critic1._cache[-1]))
-            self.target_actor.polyak_from(self.actor, hp.polyak_tau)
-            self.target_critic1.polyak_from(self.critic1, hp.polyak_tau)
-            self.target_critic2.polyak_from(self.critic2, hp.polyak_tau)
+        if policy_step:
+
+            def actor_lane():
+                actor_in = np.concatenate([obs, pi.astype(np.float32)], axis=1)
+                self.critic1.forward(actor_in)
+                # Ascend Q1: minimize -mean(Q1(s, pi(s))). Only dQ1/da is needed.
+                up = np.full((b, 1), -1.0 / b, dtype=np.float32)
+                _, d_in = self.critic1.backward(up, need_param_grads=False)
+                d_action = d_in[:, self.obs_dim :]
+                actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
+                self.actor_opt.step(actor_grads)
+                diags["actor_loss"] = float(-np.mean(self.critic1._cache[-1]))
+                self.target_actor.polyak_from(self.actor, hp.polyak_tau)
+
+            def critic_targets_lane():
+                self.target_critic1.polyak_from(self.critic1, hp.polyak_tau)
+                self.target_critic2.polyak_from(self.critic2, hp.polyak_tau)
+
+            both(actor_lane, critic_targets_lane)
         return diags
+
+
+def _critic_step(critic: Mlp, opt: Adam, critic_in, y):
+    """Regress critic toward y with one Adam step; returns (loss, mean Q).
+
+    A non-finite loss skips the step and is returned for the caller to raise,
+    so that it is raised only after both lanes have finished.
+    """
+    q = critic.forward(critic_in)[:, 0]
+    err = q - y
+    loss = float(np.mean(err**2))
+    if np.isfinite(loss):
+        grads, _ = critic.backward((2.0 * err / err.shape[0])[:, None], need_input_grad=False)
+        opt.step(grads)
+    return loss, float(np.mean(q))
+
+
+def _inline(mine, theirs):
+    """Both lanes' work on this thread, in the sequential order."""
+    return mine(), theirs()
+
+
+def _forget_worker():
+    """In a forked child: the executor came without its thread and would never
+    start one, so the child's first lane starts its own."""
+    global _worker
+    _worker = None
+
+
+def _both(mine, theirs):
+    """theirs() on the worker thread while this thread runs mine(); returns both results.
+
+    Joins before returning, also when mine() raises; an error in theirs() is
+    raised here.
+    """
+    global _worker
+    if _worker is None:  # started on first use: the import alone costs ~13 ms
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="td3-lane")
+        os.register_at_fork(after_in_child=_forget_worker)
+    future = _worker.submit(theirs)
+    try:
+        result = mine()
+    finally:
+        future.exception()  # waits for theirs() without raising its error
+    return result, future.result()
 
 
 # -- checkpoint format ----------------------------------------------------

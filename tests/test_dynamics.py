@@ -15,6 +15,7 @@ from padlander.dynamics import (
     clamp,
     step_drone_many,
 )
+from padlander.scenario import ScenarioKind, ScenarioSpec
 
 DT = 1.0 / 240.0
 
@@ -191,6 +192,19 @@ def test_non_finite_inputs_rejected():
     )
     with pytest.raises(StateCorruptionError):
         step_drone_many(bad, DroneParams(), np.zeros(3), DT, 1)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda **kw: DroneParams(**kw), "mass"),
+    (lambda **kw: DroneParams(**kw), "tau_v"),
+    (lambda **kw: ScenarioSpec(ScenarioKind.LMPL, **kw), "direction_change_period"),
+    (lambda **kw: ScenarioSpec(ScenarioKind.CMPL, **kw), "curve_radius"),
+])
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
+def test_positive_fields_reject_nan_when_built_in_code(build, name, value):
+    """Each check is `not (x > 0)`: NaN fails it where `x <= 0` let it through."""
+    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+        build(**{name: value})
 
 
 @given(v=st.floats(), c=st.floats(min_value=0.0, exclude_min=True), tie=st.sampled_from([0, 1, -1]))
