@@ -13,13 +13,19 @@ critic2's forward, backward and Adam step, on policy updates the
 pi = actor(obs) forward (the actor has not stepped since the last policy
 update), and the target critics' Polyak updates, which it runs while the
 caller steps the actor. The lanes join before y, before the actor step and
-before update() returns, even when a lane raises; a diverged critic is
-reported only after both joins, critic1 before critic2. Neither lane reads
-a buffer the other writes between two joins, each net keeps its own
-scratch buffers, and each lane runs its float operations in the sequential
-order, so every output byte equals the one-thread update. Below
-LANE_MIN_WORK the same lane functions run one after the other on the
-caller's thread.
+before update() returns, even when a lane raises. Neither lane reads a
+buffer the other writes between two joins, each net keeps its own scratch
+buffers, and each lane runs its float operations in the sequential order,
+so every output byte of an update that returns equals the one-thread
+update's. The worker is used only when it has a core to itself (see
+_lane_pays) and the critic work reaches LANE_MIN_WORK; otherwise the same
+lane functions run one after the other on the caller's thread.
+
+A diverged critic is reported only after both lanes finish, critic1 before
+critic2, with the error the one-thread update raised. By then the finite
+critic has taken its step, which the one-thread update did not do when
+critic1 diverged, so a learner that raised TrainingDivergedError is not the
+one-thread update's and must not be checkpointed or trained further.
 
 Checkpoints are an ASCII text header (format version, layer dims,
 activations, optimizer flag, Adam step counts, update count, RNG state)
@@ -36,6 +42,7 @@ an older v1 file whose payload holds the nets alone; it loads with zero
 Adam moments.
 """
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -52,14 +59,20 @@ OBS_DIM = 15
 ACTION_DIM = 3
 HIDDEN = (512, 512, 256, 128)
 # Critic work per update, batch_size * critic.n_params, from which the update
-# runs its critic2 lane on a worker thread: below it, the hand-offs cost more
-# than the overlap saves (crossover table in CHANGES.md). Not a setting.
+# runs its critic2 lane on a worker thread. Only test runtime justifies the
+# inline side below it: the benchmark runs the default dims (43.7M) alone, and
+# the tests' small nets (bandit, criterion 8) paid a hand-off per update. The
+# crossover is unresolved between 7M and 11M (table in CHANGES.md). Not a setting.
 LANE_MIN_WORK = 1 << 23
 _worker = None  # the one worker thread's executor, started on first use
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss or parameter went non-finite during training."""
+    """A loss or parameter went non-finite during training.
+
+    The learner that raised it is left part-way through an update: do not
+    checkpoint it or train it further.
+    """
 
 
 @dataclass(frozen=True)
@@ -182,7 +195,7 @@ class Td3Learner:
         hp = self.hp
         obs, actions, rewards, next_obs, terminals = batch
         b = obs.shape[0]
-        both = _both if b * self.critic1.n_params >= LANE_MIN_WORK else _inline
+        both = _both if b * self.critic1.n_params >= LANE_MIN_WORK and _lane_pays() else _inline
         policy_step = (self.n_updates + 1) % hp.policy_delay == 0
 
         noise = self.update_rng.normal(0.0, hp.target_noise_sigma, size=(b, self.action_dim))
@@ -247,6 +260,32 @@ def _critic_step(critic: Mlp, opt: Adam, critic_in, y):
         grads, _ = critic.backward((2.0 * err / err.shape[0])[:, None], need_input_grad=False)
         opt.step(grads)
     return loss, float(np.mean(q))
+
+
+@functools.cache
+def _lane_pays() -> bool:
+    """Whether the worker lane has a core to itself; read once per process.
+
+    It has one when this process may run on two or more CPUs and numpy's BLAS
+    runs each call on one thread. At the default dims on 2 vCPUs an update
+    took 18.1 ms with the lane against 28.3 ms without when OpenBLAS ran one
+    thread, 28.3 against 22.4 ms when it ran two (BLAS already used both
+    cores), and on one CPU 22-29 against 21-26 ms. The thread count is read
+    from the OpenBLAS in `numpy.libs`, where numpy's wheels bundle it; a BLAS
+    it cannot read counts as threaded.
+    """
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+    if len(cpus) < 2:
+        return False
+    import ctypes  # here, not at import: only large nets need it
+    import glob
+
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)  # the copy numpy loaded, not a second one
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)() == 1
+    return False
 
 
 def _inline(mine, theirs):

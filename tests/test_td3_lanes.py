@@ -1,7 +1,9 @@
 """Td3Learner.update with its critic2 lane on the worker thread equals the sequential update, bit for bit."""
 
+import glob
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -105,6 +107,13 @@ def assert_lanes_match_sequential(hp: Td3Hyperparams, n: int):
 
 
 @pytest.fixture
+def always_lane(monkeypatch):
+    """Every update uses the worker lane, whatever the net size, BLAS threads and CPUs."""
+    monkeypatch.setattr(td3, "LANE_MIN_WORK", 0)
+    monkeypatch.setattr(td3, "_lane_pays", lambda: True)
+
+
+@pytest.fixture
 def fast_switching():
     """Switch threads every microsecond, so the lanes interleave as finely as they can."""
     interval = sys.getswitchinterval()
@@ -116,13 +125,11 @@ def fast_switching():
 
 
 @pytest.mark.parametrize("policy_delay", [1, 2, 3])
-def test_lanes_equal_sequential_update(monkeypatch, fast_switching, policy_delay):
-    monkeypatch.setattr(td3, "LANE_MIN_WORK", 0)
+def test_lanes_equal_sequential_update(always_lane, fast_switching, policy_delay):
     assert_lanes_match_sequential(Td3Hyperparams(**SMALL, policy_delay=policy_delay), 7)
 
 
-def test_learners_on_three_threads_share_the_worker(monkeypatch, fast_switching):
-    monkeypatch.setattr(td3, "LANE_MIN_WORK", 0)
+def test_learners_on_three_threads_share_the_worker(always_lane, fast_switching):
     results = []
 
     def run():
@@ -141,25 +148,48 @@ def test_learners_on_three_threads_share_the_worker(monkeypatch, fast_switching)
     assert results == [None] * 3
 
 
-def test_default_dims_use_the_lane_and_equal_sequential_update():
+def test_default_dims_use_the_lane_and_equal_sequential_update(monkeypatch):
+    monkeypatch.setattr(td3, "_lane_pays", lambda: True)
     hp = Td3Hyperparams()
     assert hp.batch_size * Td3Learner(hp).critic1.n_params >= td3.LANE_MIN_WORK
     assert_lanes_match_sequential(hp, 3)
 
 
-def test_small_nets_run_inline():
+@pytest.mark.parametrize("min_work, pays", [(td3.LANE_MIN_WORK, True), (0, False)])
+def test_small_nets_or_no_spare_core_run_inline(monkeypatch, min_work, pays):
+    monkeypatch.setattr(td3, "LANE_MIN_WORK", min_work)
+    monkeypatch.setattr(td3, "_lane_pays", lambda: pays)
     learner = Td3Learner(Td3Hyperparams(**SMALL), seed=3)
     threads = critic2_threads(learner)
     learner.update(batches(learner.hp, 1)[0])
     assert threads == [threading.get_ident()]
 
 
+LANE_PAYS = """
+import os
+from padlander import td3
+print(td3._lane_pays())
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+print(td3._lane_pays.__wrapped__())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+                    or not glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*"),
+                    reason="needs 2 CPUs and the OpenBLAS numpy's wheels bundle")
+@pytest.mark.parametrize("blas_threads, pays", [("1", "True"), ("2", "False")])
+def test_lane_pays_only_with_one_blas_thread_and_two_cpus(blas_threads, pays):
+    src = os.path.dirname(os.path.dirname(td3.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", LANE_PAYS], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [pays, "False"]
+
+
 @pytest.mark.parametrize("poisoned, named", [
     (("critic2",), "critic2"),
     (("critic1", "critic2"), "critic1"),
 ])
-def test_divergence_raises_after_both_lanes_with_the_sequential_error(monkeypatch, poisoned, named):
-    monkeypatch.setattr(td3, "LANE_MIN_WORK", 0)
+def test_divergence_raises_after_both_lanes_with_the_sequential_error(always_lane, poisoned, named):
     hp = Td3Hyperparams(**SMALL, policy_delay=1)
     learner = Td3Learner(hp, seed=3)
     for name in poisoned:
@@ -192,8 +222,7 @@ def test_lane_is_joined_when_the_caller_raises():
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_forked_child_starts_its_own_worker(monkeypatch):
-    monkeypatch.setattr(td3, "LANE_MIN_WORK", 0)
+def test_forked_child_starts_its_own_worker(always_lane):
     td3._both(lambda: None, lambda: None)  # this process's worker is up and idle
     child = multiprocessing.get_context("fork").Process(
         target=assert_lanes_match_sequential, args=(Td3Hyperparams(**SMALL), 2))
