@@ -28,6 +28,7 @@ import numpy as np
 
 from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError, clamp
 from padlander.environment import LandingEnv, StepOutcome, Terminal
+from padlander.records import check_settings
 from padlander.rng import substream
 
 
@@ -183,10 +184,7 @@ class PidController:
 
     def __post_init__(self):
         # Each clamp is the interval [-c, c]: c <= 0 pins or inverts it.
-        if not (self.integral_clamp > 0 and self.output_clamp > 0):
-            raise ValueError(
-                f"integral_clamp and output_clamp must be positive, got {self.integral_clamp}, {self.output_clamp}"
-            )
+        check_settings(self, positive=("integral_clamp", "output_clamp"))
         # command() reads the per-axis gains with tolist(), so kp is held as a float 3-vector.
         kp = np.asarray(self.kp, dtype=float)
         if kp.shape != (3,):
@@ -229,14 +227,9 @@ class PursuitConfig:
     measurement_sigma: float = 0.001  # m, simulated localization noise
 
     def __post_init__(self):
-        # Written as `not (ok)` so that NaN fails each check.
-        for name in ("lookahead", "approach_height", "measurement_sigma"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         # A rate or radius <= 0 stops the descent or reverses it.
-        for name in ("descent_rate", "align_radius"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        check_settings(self, non_negative=("lookahead", "approach_height", "measurement_sigma"),
+                       positive=("descent_rate", "align_radius"))
 
 
 def pursuit_command(

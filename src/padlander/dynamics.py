@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from padlander.records import frozen_record
+from padlander.records import check_settings, frozen_record
 
 VEL_ENVELOPE = (3.0, 3.0, 2.0)  # m/s, per component
 SETPOINT_DELTA_BOUND = 0.1  # m, max |delta| per axis per command
@@ -81,11 +81,8 @@ class DroneParams:
     gravity: float = 9.81  # m/s^2
 
     def __post_init__(self):
-        for name in ("mass", "tau_v"):
-            if not getattr(self, name) > 0:  # `not (x > 0)` so that NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.a_max > 0:  # a non-positive clamp reverses the commanded acceleration
-            raise ValueError("a_max must be positive")
+        # A non-positive a_max clamp reverses the commanded acceleration.
+        check_settings(self, positive=("mass", "tau_v", "a_max"))
 
 
 def step_drone_many(

@@ -26,7 +26,7 @@ import numpy as np
 
 from padlander.dynamics import (DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, clamp,
                                 step_drone_many)
-from padlander.records import frozen_record
+from padlander.records import check_settings, frozen_record
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
 from padlander.scenario import (
@@ -86,25 +86,16 @@ class EnvConfig:
     wind_enabled: bool = True
 
     def __post_init__(self):
-        # Written as `not (ok)` so that NaN fails each check.
-        if not (self.control_hz > 0 and self.physics_hz > 0):
-            raise ValueError("control_hz and physics_hz must be positive")
+        # A threshold <= 0 ends every episode at once or makes touchdown unreachable.
+        check_settings(self, positive=("control_hz", "physics_hz", "action_scale", "episode_cap",
+                                       "out_of_bounds_radius", "touchdown_vertical", "touchdown_speed",
+                                       "crash_descent_speed"),
+                       non_negative=("wind_bound",), unit=("wind_p_episode", "wind_p_step"))
         if self.physics_hz % self.control_hz != 0:
             raise ValueError("physics_hz must be an integer multiple of control_hz")
-        if not self.action_scale > 0:
-            raise ValueError("action_scale must be positive")
-        # A threshold <= 0 ends every episode at once or makes touchdown unreachable.
-        for name in ("episode_cap", "out_of_bounds_radius", "touchdown_vertical", "touchdown_speed",
-                     "crash_descent_speed"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # _spawn rejection-samples the spawn hemisphere; a band it cannot hit never returns.
         if not (0.0 <= self.spawn_alt_min < self.spawn_alt_max and self.spawn_alt_min < self.spawn_radius):
             raise ValueError("need 0 <= spawn_alt_min < spawn_alt_max and spawn_alt_min < spawn_radius")
-        if not (0.0 <= self.wind_p_episode <= 1.0 and 0.0 <= self.wind_p_step <= 1.0):
-            raise ValueError("wind probabilities must be in [0, 1]")
-        if not self.wind_bound >= 0.0:
-            raise ValueError("wind_bound must be non-negative")
 
 
 def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> np.ndarray:

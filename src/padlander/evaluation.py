@@ -16,7 +16,7 @@ import enum
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -239,20 +239,18 @@ def report_text(report: BenchmarkReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(v) -> str:
+    """One CSV cell: empty for None, 9 significant digits for a float."""
+    if v is None:
+        return ""
+    return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+
 def report_csv(report: BenchmarkReport) -> str:
-    cols = (
-        "scenario,controller,trials,successes,success_rate,precision_mean,precision_std,"
-        "corr_mean,corr_median,corr_std,corr_min,corr_max"
-    )
-    out = [cols]
+    names = [f.name for f in fields(GroupStats)]
+    out = [",".join(names)]
     for g in report.groups:
-        vals = [
-            g.scenario, g.controller, g.trials, g.successes, f"{g.success_rate:.9g}",
-        ] + ["" if v is None else f"{v:.9g}" for v in (
-            g.precision_mean, g.precision_std, g.corr_mean, g.corr_median,
-            g.corr_std, g.corr_min, g.corr_max,
-        )]
-        out.append(",".join(str(v) for v in vals))
+        out.append(",".join(_cell(getattr(g, name)) for name in names))
     return "\n".join(out) + "\n"
 
 
@@ -260,16 +258,10 @@ def trials_csv(report: BenchmarkReport) -> str:
     cols = "scenario,controller,seed,terminal,lateral_error,duration,velocity_correlation,wind"
     out = [cols]
     for t in report.trials:
-        out.append(",".join([
-            t.scenario.value,
-            t.controller.value,
-            str(t.seed),
-            t.terminal.value,
-            "" if t.touchdown_lateral_error is None else f"{t.touchdown_lateral_error:.9g}",
-            f"{t.duration:.9g}",
-            "" if t.velocity_correlation is None else f"{t.velocity_correlation:.9g}",
-            str(int(t.wind_enabled)),
-        ]))
+        out.append(",".join(_cell(v) for v in (
+            t.scenario.value, t.controller.value, t.seed, t.terminal.value, t.touchdown_lateral_error,
+            t.duration, t.velocity_correlation, int(t.wind_enabled),
+        )))
     return "\n".join(out) + "\n"
 
 

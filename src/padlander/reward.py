@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from padlander.records import frozen_record
+from padlander.records import check_settings, frozen_record
 
 
 class RewardCase(enum.Enum):
@@ -47,19 +47,13 @@ class RewardConfig:
     repulsive_enabled: bool = False
 
     def __post_init__(self):
-        if not self.far_radius > self.near_radius > 0:
-            raise ValueError("need far_radius > near_radius > 0")
-        # Written as `not (ok)` so that NaN fails each check. A sign flip here
-        # turns a penalty into a reward (or back) without any other symptom.
+        # A sign flip here turns a penalty into a reward (or back) without any other symptom.
+        check_settings(self, positive=("alpha", "q_max", "near_radius"),
+                       non_negative=("zeta", "beta_below", "beta_edge", "k_delta"))
+        if not self.far_radius > self.near_radius:
+            raise ValueError(f"need far_radius > near_radius, got {self.far_radius}, {self.near_radius}")
         if not self.gamma < 0.0:
             raise ValueError(f"gamma must be negative, got {self.gamma}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        for name in ("zeta", "beta_below", "beta_edge", "k_delta"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.q_max <= 0:
-            raise ValueError("q_max must be positive")
 
 
 @frozen_record

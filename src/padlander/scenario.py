@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from padlander.dynamics import clamp
-from padlander.records import frozen_record
+from padlander.records import check_settings, frozen_record
 
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
 # (spec, segment) entries kept by the LMPL segment table. Every episode has its
@@ -54,11 +54,9 @@ class ScenarioSpec:
     initial_heading: float = 0.0  # rad, first LMPL segment
 
     def __post_init__(self):
+        check_settings(self, positive=("direction_change_period", "curve_radius"))
         if not 0.0 <= self.speed <= PLATFORM_SPEED_LIMIT:
             raise ValueError(f"platform speed must be in [0, {PLATFORM_SPEED_LIMIT}], got {self.speed}")
-        for name in ("direction_change_period", "curve_radius"):
-            if not getattr(self, name) > 0:  # `not (x > 0)` so that NaN fails too
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @frozen_record

@@ -53,16 +53,20 @@ import numpy as np
 
 from padlander.environment import LandingEnv, StepOutcome, Terminal
 from padlander.mlp import Adam, Mlp
+from padlander.records import check_settings
 from padlander.rng import substream
 
 OBS_DIM = 15
 ACTION_DIM = 3
 HIDDEN = (512, 512, 256, 128)
 # Critic work per update, batch_size * critic.n_params, from which the update
-# runs its critic2 lane on a worker thread. Only test runtime justifies the
-# inline side below it: the benchmark runs the default dims (43.7M) alone, and
-# the tests' small nets (bandit, criterion 8) paid a hand-off per update. The
-# crossover is unresolved between 7M and 11M (table in CHANGES.md). Not a setting.
+# runs its critic2 lane on a worker thread. Small nets run inline below it:
+# demo 04's (64, 64) critics at batch 100 (0.54M) read the lane 1.91-2.48x
+# slower than inline on 2 vCPUs, while the benchmark runs the default dims
+# (43.7M). pytest pins no BLAS thread count, so with OpenBLAS at one thread
+# per core _lane_pays() is false there and this threshold does not set test
+# time. The crossover is unresolved between 7M and 11M (table in CHANGES.md).
+# Not a setting.
 LANE_MIN_WORK = 1 << 23
 _worker = None  # the one worker thread's executor, started on first use
 
@@ -94,28 +98,15 @@ class Td3Hyperparams:
     hidden_dims: tuple = HIDDEN
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size <= 0:
-            raise ValueError("learning_rate and batch_size must be positive")
-        if self.policy_delay < 1:
-            raise ValueError("policy_delay must be >= 1")
-        # Written as `not (ok)` so that NaN fails each check.
-        if not 0.0 <= self.discount <= 1.0:
-            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
-        if not 0.0 < self.polyak_tau <= 1.0:
-            raise ValueError(f"polyak_tau must be in (0, 1], got {self.polyak_tau}")
+        # Run lengths: an interval of 0 turns evaluation or checkpoints off, and
+        # train() divides by eval_episodes after each evaluation.
+        check_settings(self, positive=("learning_rate", "batch_size"),
+                       at_least_one=("policy_delay", "total_steps", "eval_episodes"),
+                       unit=("discount",), positive_unit=("polyak_tau",),
+                       non_negative=("target_noise_sigma", "target_noise_clip", "exploration_noise_sigma",
+                                     "learning_starts", "eval_interval", "checkpoint_interval"))
         if not self.buffer_capacity >= self.batch_size:
             raise ValueError(f"buffer_capacity {self.buffer_capacity} is below batch_size {self.batch_size}")
-        for name in ("target_noise_sigma", "target_noise_clip", "exploration_noise_sigma"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        # Run lengths: an interval of 0 turns evaluation or checkpoints off.
-        if not self.total_steps >= 1:
-            raise ValueError(f"total_steps must be >= 1, got {self.total_steps}")
-        for name in ("learning_starts", "eval_interval", "checkpoint_interval"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not self.eval_episodes >= 1:  # train() divides by it after each evaluation
-            raise ValueError(f"eval_episodes must be >= 1, got {self.eval_episodes}")
 
 
 class ReplayBuffer:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from padlander.baseline import PidController, PursuitConfig
 from padlander.dynamics import (
     ActionBoundError,
     DroneParams,
@@ -15,7 +18,10 @@ from padlander.dynamics import (
     clamp,
     step_drone_many,
 )
+from padlander.environment import EnvConfig
+from padlander.reward import RewardConfig
 from padlander.scenario import ScenarioKind, ScenarioSpec
+from padlander.td3 import Td3Hyperparams
 
 DT = 1.0 / 240.0
 
@@ -194,16 +200,28 @@ def test_non_finite_inputs_rejected():
         step_drone_many(bad, DroneParams(), np.zeros(3), DT, 1)
 
 
-@pytest.mark.parametrize("build, name", [
-    (lambda **kw: DroneParams(**kw), "mass"),
-    (lambda **kw: DroneParams(**kw), "tau_v"),
-    (lambda **kw: ScenarioSpec(ScenarioKind.LMPL, **kw), "direction_change_period"),
-    (lambda **kw: ScenarioSpec(ScenarioKind.CMPL, **kw), "curve_radius"),
-])
-@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0])
-def test_positive_fields_reject_nan_when_built_in_code(build, name, value):
-    """Each check is `not (x > 0)`: NaN fails it where `x <= 0` let it through."""
-    with pytest.raises(ValueError, match=f"^{name} must be positive, got {value}$"):
+# The seven settings records, each built with one field set and the rest at defaults.
+SETTINGS = [DroneParams, functools.partial(ScenarioSpec, ScenarioKind.CTL), EnvConfig, RewardConfig,
+            PidController, PursuitConfig, Td3Hyperparams]
+
+BAD_SETTINGS = [  # (build, field, value, error message pattern)
+    *((build, name, value, f"^{name} must be positive, got {value}$")
+      for build, name in [(DroneParams, "mass"), (DroneParams, "tau_v"),
+                          (functools.partial(ScenarioSpec, ScenarioKind.LMPL), "direction_change_period"),
+                          (functools.partial(ScenarioSpec, ScenarioKind.CMPL), "curve_radius")]
+      for value in (math.nan, 0.0, -1.0)),
+    # Every float field, read from dataclasses.fields so that a new one is swept too.
+    *((build, f.name, value, rf"\b{f.name}\b")
+      for build in SETTINGS for f in dataclasses.fields(getattr(build, "func", build)) if f.type is float
+      for value in (math.nan, math.inf, -math.inf)),
+]
+
+
+@pytest.mark.parametrize("build, name, value, message", BAD_SETTINGS,
+                         ids=[f"{getattr(b, 'func', b).__name__}.{n}={v}" for b, n, v, _ in BAD_SETTINGS])
+def test_settings_reject_bad_values_when_built_in_code(build, name, value, message):
+    """An interval check fails NaN too, and every float field must be finite, not only those set through config."""
+    with pytest.raises(ValueError, match=message):
         build(**{name: value})
 
 

@@ -9,12 +9,16 @@ import hashlib
 
 import pytest
 
+from padlander.cli import main
 from padlander.environment import EnvConfig, LandingEnv
 from padlander.evaluation import Controller, run_benchmark, write_report
 from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint, train, write_curve_csv
 
 GOLDEN = {
+    "report.csv": "98c29b0afcf7cef953defe9226f72519260ea9cc95b956876758e2140c9d6e5a",
+    "report.json": "e8bfaafb4ace463f4256716e2be38358009ef070239a2868acc173629e88a4c5",
+    "report.txt": "fef5a5bd2d46fc8603c7d01abce5c70df37da10bed7393965b9f0c3fb1d5edfc",
     "trials.csv": "c66cb16f8fdd295404d9461b11bca692e4828968bd3a91fa1fea7db001ddd216",
     "traces/SPL_EkfPid_00.csv": "bcb5a6054149bd3147daf0dfc1ad4f124e1f3dd396781122707570ea9bc2d6d4",
     "traces/LMPL_EkfPid_00.csv": "07f61505a6ae92fa3b0cfd1064cdc5374ca49a309d243831935e54fba29f2859",
@@ -47,6 +51,10 @@ GOLDEN_TRAIN = {
     "checkpoint.bin": "98ee8d46c77121f5e5fe61c9d58dbdb6fe72f722bd8328b08ee42a54c3233ef6",
     "curve.csv": "fcb455c73668e5ea4f4e0d36452548a4e3078179b21ad3342ae5f1ae01cb7491",
 }
+
+
+# `padlander config-dump` with no config file or override.
+GOLDEN_CONFIG_DUMP = "98eabede974c73387c384969c64fb93d22140889f70c5e34e01a33837717930b"
 
 
 def _sha256(path) -> str:
@@ -112,3 +120,8 @@ def test_agent_output_digest(agent_dir, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
 def test_train_output_digest(train_dir, name):
     assert _sha256(train_dir / name) == GOLDEN_TRAIN[name]
+
+
+def test_default_config_dump_digest(capsys):
+    assert main(["config-dump"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_CONFIG_DUMP

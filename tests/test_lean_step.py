@@ -272,6 +272,18 @@ class TestPursuit:
 # -- platform, observation, action, wind -----------------------------------
 
 
+def _spec_with_nan_amplitude():
+    """A CTL spec whose vertical_amplitude is NaN.
+
+    ScenarioSpec rejects a non-finite field when it is built, so the field is
+    set after construction: platform_at must still match its reference on
+    NaN input.
+    """
+    spec = ScenarioSpec(ScenarioKind.CTL)
+    object.__setattr__(spec, "vertical_amplitude", math.nan)
+    return spec
+
+
 PLATFORM_SPECS = [
     ScenarioSpec(ScenarioKind.SPL),
     ScenarioSpec(ScenarioKind.LMPL, seed=3, initial_heading=0.0),
@@ -283,7 +295,7 @@ PLATFORM_SPECS = [
     ScenarioSpec(ScenarioKind.CTL),
     ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=1.0, direction_change_period=0.7),  # the clamp bites
     ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=0.0, speed=0.2),
-    ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=math.nan),  # NaN passes the velocity clamp
+    _spec_with_nan_amplitude(),  # NaN passes the velocity clamp
 ]
 
 
