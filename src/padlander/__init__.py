@@ -9,15 +9,7 @@ and a seeded benchmark harness.
 from padlander.dynamics import DroneParams, DroneState, apply_setpoint_delta
 from padlander.environment import EnvConfig, LandingEnv, StepOutcome
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward, reward_surface_grid
-from padlander.scenario import (
-    PlatformState,
-    ScenarioKind,
-    ScenarioSpec,
-    WindState,
-    init_wind,
-    platform_at,
-    sample_wind_step,
-)
+from padlander.scenario import PlatformState, ScenarioKind, ScenarioSpec, init_wind, platform_at, sample_wind_step
 
 __version__ = "0.1.0"
 
@@ -32,7 +24,6 @@ __all__ = [
     "ScenarioKind",
     "ScenarioSpec",
     "StepOutcome",
-    "WindState",
     "apply_setpoint_delta",
     "compute_reward",
     "init_wind",

@@ -189,6 +189,8 @@ class PidController:
         kp = np.asarray(self.kp, dtype=float)
         if kp.shape != (3,):
             kp = np.broadcast_to(kp, (3,)).copy()
+        if not np.isfinite(kp).all():
+            raise ValueError(f"kp must be finite, got {kp}")
         object.__setattr__(self, "kp", kp)
 
     def command(self, state: "PidState", error: np.ndarray, dt: float) -> np.ndarray:

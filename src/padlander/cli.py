@@ -110,6 +110,8 @@ def cmd_benchmark(args) -> int:
     scenarios = _scenario_list(args.scenario)
     if args.baseline and args.checkpoint:
         raise ConfigError("pass either --baseline or --checkpoint, not both")
+    if args.both and not args.checkpoint:
+        raise ConfigError("--both runs the agent too: pass --checkpoint PATH")
     if not args.baseline and not args.checkpoint:
         raise ConfigError("pass --baseline or --checkpoint PATH")
     learner = None

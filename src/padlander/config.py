@@ -1,9 +1,9 @@
 """Flat-text run configuration.
 
 Format: one `section.key = value` per line, `#` comments, blank lines
-ignored. Every scalar default in the stack is overridable, except the
-fields _NOT_SETTABLE lists with a reason (array and tuple fields are not
-either); unknown keys are rejected with the offending key named.
+ignored. Every default in the stack is overridable, except the fields
+_NOT_SETTABLE lists with a reason; unknown keys are rejected with the
+offending key named.
 Sections are frozen: an override builds a new RunConfig. Each run writes
 its fully resolved configuration next to its outputs so results are
 reproducible from artifacts alone.
@@ -49,29 +49,21 @@ class RunConfig:
 
 
 _SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pid", "evaluation")
-_SCALARS = (int, float, bool, str)
 
 
 # Fields a user cannot set, each with the reason.
-_NO_OBSTACLES = ("the environment has no obstacles: LandingEnv.step and reward_surface_grid pass "
-                 "obstacle_distance=None, so the repulsive term is always 0")
 _NOT_SETTABLE = {
     "scenario_params.kind": "set the top-level 'scenario' key instead",
     "scenario_params.seed": "reset() draws every episode's seed from the run seed; "
     "set the top-level 'seed' key instead",
-    "reward.repulsive_enabled": _NO_OBSTACLES,
-    "reward.eta": _NO_OBSTACLES,
-    "reward.q_max": _NO_OBSTACLES,
+    "pid.kp": "a per-axis gain vector, and the format has no list syntax yet",
+    "td3.hidden_dims": "a tuple of layer widths, and the format has no list syntax yet",
 }
 
 
 def _configurable_fields(section: str, obj) -> Dict[str, type]:
-    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return {
-        name: type(v)
-        for name, v in values.items()
-        if isinstance(v, _SCALARS) and f"{section}.{name}" not in _NOT_SETTABLE
-    }
+    return {f.name: type(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+            if f"{section}.{f.name}" not in _NOT_SETTABLE}
 
 
 def _parse_value(text: str, target_type: type):

@@ -19,7 +19,7 @@ dynamics.clamp give the same bits either way.
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -29,14 +29,7 @@ from padlander.dynamics import (DroneParams, DroneState, StateCorruptionError, a
 from padlander.records import check_settings, frozen_record
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
-from padlander.scenario import (
-    PlatformState,
-    ScenarioSpec,
-    WindState,
-    init_wind,
-    platform_at,
-    sample_wind_step,
-)
+from padlander.scenario import PAD_HALF_EXTENT, PlatformState, ScenarioSpec, init_wind, platform_at, sample_wind_step
 
 
 class Terminal(enum.Enum):
@@ -55,15 +48,15 @@ class ActionRangeError(ValueError):
     """Action component left [-1, 1] by more than the numerical grace band."""
 
 
-def default_norm_bounds() -> np.ndarray:
-    """Per-component clip bounds for the observation vector."""
-    return np.array(
-        [np.pi, np.pi, np.pi]  # attitude
-        + [3.0, 3.0, 2.0]  # linear velocity
-        + [10.0, 10.0, 10.0]  # angular velocity
-        + [3.0, 3.0, 3.0]  # relative pad position
-        + [3.5, 3.5, 2.5]  # relative pad velocity
-    )
+# Per-component clip bounds of the observation vector; its length is the observation size.
+OBS_BOUNDS = np.array(
+    [np.pi, np.pi, np.pi]  # attitude
+    + [3.0, 3.0, 2.0]  # linear velocity
+    + [10.0, 10.0, 10.0]  # angular velocity
+    + [3.0, 3.0, 3.0]  # relative pad position
+    + [3.5, 3.5, 2.5]  # relative pad velocity
+)
+OBS_BOUNDS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,6 @@ class EnvConfig:
     control_hz: int = 30
     physics_hz: int = 240
     action_scale: float = 0.1  # m per unit action
-    norm_bounds: np.ndarray = field(default_factory=default_norm_bounds)
     touchdown_vertical: float = 0.05  # m, contact band above pad top
     touchdown_speed: float = 0.5  # m/s, max relative speed
     crash_descent_speed: float = 1.0  # m/s
@@ -98,7 +90,7 @@ class EnvConfig:
             raise ValueError("need 0 <= spawn_alt_min < spawn_alt_max and spawn_alt_min < spawn_radius")
 
 
-def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> np.ndarray:
+def build_observation(drone: DroneState, pad: PlatformState) -> np.ndarray:
     """Assemble, clip and normalize the 15-component observation."""
     px, py, pz = drone.position.tolist()
     vx, vy, vz = drone.velocity.tolist()
@@ -109,8 +101,7 @@ def build_observation(drone: DroneState, pad: PlatformState, cfg: EnvConfig) -> 
         qx - px, qy - py, qz - pz, ux - vx, uy - vy, uz - vz]
     if not all(map(math.isfinite, raw)):
         raise StateCorruptionError("non-finite state in observation assembly")
-    bounds = cfg.norm_bounds
-    return np.minimum(np.maximum(np.array(raw), -bounds), bounds) / bounds
+    return np.minimum(np.maximum(np.array(raw), -OBS_BOUNDS), OBS_BOUNDS) / OBS_BOUNDS
 
 
 @frozen_record
@@ -151,7 +142,7 @@ class LandingEnv:
         self._physics_dt = 1.0 / self.cfg.physics_hz
         self._substeps = self.cfg.physics_hz // self.cfg.control_hz
         self._drone: Optional[DroneState] = None
-        self._wind: Optional[WindState] = None
+        self._windy = False
         self._wind_rng: Optional[np.random.Generator] = None
         self._spec: Optional[ScenarioSpec] = None
         self._t = 0.0
@@ -197,13 +188,13 @@ class LandingEnv:
 
         self._wind_rng = substream(seed, "wind")
         p_ep = self.cfg.wind_p_episode if self.cfg.wind_enabled else 0.0
-        self._wind = init_wind(self._wind_rng, p_ep, self.cfg.wind_p_step, self.cfg.wind_bound)
+        self._windy = init_wind(self._wind_rng, p_ep)
 
         self._prev_distance = float(np.linalg.norm(pad.position - self._drone.position))
-        return build_observation(self._drone, pad, self.cfg)
+        return build_observation(self._drone, pad)
 
-    def _classify(self, rel, rel_v, d: float, half_extent: float, t: float) -> Terminal:
-        over_pad = abs(rel[0]) <= half_extent and abs(rel[1]) <= half_extent
+    def _classify(self, rel, rel_v, d: float, t: float) -> Terminal:
+        over_pad = abs(rel[0]) <= PAD_HALF_EXTENT and abs(rel[1]) <= PAD_HALF_EXTENT
         dz = rel[2]
         if over_pad and 0.0 <= dz <= self.cfg.touchdown_vertical:
             speed = math.hypot(rel_v[0], rel_v[1], rel_v[2])
@@ -236,9 +227,10 @@ class LandingEnv:
             raise ActionRangeError(f"action {a} outside [-1, 1]")
         a = np.array([clamp(x, -1.0, 1.0), clamp(y, -1.0, 1.0), clamp(z, -1.0, 1.0)])
 
-        self._wind = wind = sample_wind_step(self._wind, self._wind_rng)
-        drone = apply_setpoint_delta(self._drone, self.cfg.action_scale * a)
-        drone = step_drone_many(drone, self.drone_params, wind.force, self._physics_dt, self._substeps)
+        cfg = self.cfg
+        wind_force = sample_wind_step(self._windy, self._wind_rng, cfg.wind_p_step, cfg.wind_bound)
+        drone = apply_setpoint_delta(self._drone, cfg.action_scale * a)
+        drone = step_drone_many(drone, self.drone_params, wind_force, self._physics_dt, self._substeps)
 
         self._step_count += 1
         self._t = t = self._step_count * self._control_dt
@@ -249,14 +241,14 @@ class LandingEnv:
         rx, ry, rz = rel_xyz = rel.tolist()
         d = math.hypot(rx, ry, rz)
         lateral = max(abs(rx), abs(ry))
-        near_edge = abs(rz) < 0.1 and 0.7 * pad.half_extent < lateral <= 1.3 * pad.half_extent
+        near_edge = abs(rz) < 0.1 and 0.7 * PAD_HALF_EXTENT < lateral <= 1.3 * PAD_HALF_EXTENT
         reward = compute_reward(rel, rel_v, self._prev_distance, None, rz < 0.0, near_edge, self.reward_cfg)
         self._prev_distance = d
 
-        self._terminal = terminal = self._classify(rel_xyz, rel_v.tolist(), d, pad.half_extent, t)
+        self._terminal = terminal = self._classify(rel_xyz, rel_v.tolist(), d, t)
         self._drone = drone
-        observation = build_observation(drone, pad, self.cfg)
-        return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind.force)
+        observation = build_observation(drone, pad)
+        return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind_force)
 
 
 TRACE_COLUMNS = (

@@ -1,6 +1,6 @@
 """Frozen records that are cheap to build, and the range check of settings records.
 
-A control step builds a handful of frozen records (drone, platform, wind,
+A control step builds a handful of frozen records (drone, platform,
 reward, outcome). ``dataclass(frozen=True)`` stores each field through
 ``object.__setattr__``, which costs about twice a plain assignment per
 field. ``frozen_record`` makes the same frozen dataclass, then gives it an
@@ -16,6 +16,7 @@ or was passed in code.
 
 import dataclasses
 import math
+import numbers
 
 # Interval name -> (test, wording). A value v fails when `not test(v)`,
 # written so that NaN fails every interval.
@@ -29,10 +30,12 @@ _INTERVALS = {
 
 
 def check_settings(record, **intervals):
-    """Raise ValueError unless each named field lies in its interval and every float field is finite.
+    """Raise ValueError unless each named field lies in its interval and every float and int field is sound.
 
-    ``intervals`` maps an interval name of ``_INTERVALS`` to the field names
-    that must lie in it, e.g. ``check_settings(self, positive=("mass",))``.
+    A float field must be finite, and an int field must hold an integer that
+    is not a bool. ``intervals`` maps an interval name of ``_INTERVALS`` to
+    the field names that must lie in it, e.g.
+    ``check_settings(self, positive=("mass",))``.
     The interval checks run first, so a NaN in a positive field reads
     "must be positive". Checks that relate two fields stay in the record.
     """
@@ -46,22 +49,24 @@ def check_settings(record, **intervals):
         value = getattr(record, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
+        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value}")
 
 
 def frozen_record(cls):
     """``dataclass(frozen=True)`` with a faster ``__init__``.
 
-    Plain defaults are supported; ``default_factory`` and ``__post_init__``
-    are not, because the records that use this have neither.
+    Defaults, ``default_factory`` and ``__post_init__`` are not supported,
+    because the records that use this have none of them.
     """
     cls = dataclasses.dataclass(frozen=True)(cls)
     fields = dataclasses.fields(cls)
-    if hasattr(cls, "__post_init__") or any(f.default_factory is not dataclasses.MISSING for f in fields):
-        raise TypeError(f"{cls.__name__}: frozen_record supports neither __post_init__ nor default_factory")
-    params = ", ".join(f.name if f.default is dataclasses.MISSING else f"{f.name}=_defaults[{f.name!r}]"
-                       for f in fields)
+    if hasattr(cls, "__post_init__") or any(
+            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING for f in fields):
+        raise TypeError(f"{cls.__name__}: frozen_record supports no default, default_factory or __post_init__")
+    params = ", ".join(f.name for f in fields)
     stores = "".join(f"\n    d[{f.name!r}] = {f.name}" for f in fields)
-    namespace = {"_defaults": {f.name: f.default for f in fields}}
+    namespace = {}
     exec(f"def __init__(self, {params}):\n    d = self.__dict__{stores}\n", namespace)
     init = namespace["__init__"]
     init.__qualname__ = f"{cls.__qualname__}.__init__"

@@ -5,7 +5,7 @@ Three distance bands around the pad center (d = |relative position|):
   Far   d >= far_radius          constant penalty tanh(gamma)
   Mid   near_radius <= d < far   progress reward tanh(alpha * (prev_d - d))
   Near  d < near_radius          tanh(-U - beta + delta): quadratic attractive
-                                 well, optional repulsive term near obstacles,
+                                 well, a repulsive term near an obstacle,
                                  safety penalties, and a speed penalty that
                                  never punishes descending toward the pad.
 
@@ -28,8 +28,14 @@ class RewardCase(enum.Enum):
     NEAR = "Near"
 
 
+# The repulsive barrier around an obstacle. The environment has no obstacles
+# and passes no obstacle distance, so no run applies it.
+REPULSIVE_ETA = 0.1  # repulsive strength
+REPULSIVE_Q_MAX = 0.4  # m, repulsive cutoff
+
+
 class ObstacleContactError(ValueError):
-    """Zero obstacle clearance with repulsion enabled; collision must be handled upstream."""
+    """Zero obstacle clearance; collision must be handled upstream."""
 
 
 @dataclass(frozen=True)
@@ -37,18 +43,15 @@ class RewardConfig:
     gamma: float = -1.0  # far-field penalty (pre-tanh), < 0
     alpha: float = 5.0  # 1/m, progress scale
     zeta: float = 0.5  # 1/m^2, attractive strength
-    eta: float = 0.1  # repulsive strength
-    q_max: float = 0.4  # m, repulsive cutoff
     beta_below: float = 0.5  # penalty for being below the pad top
     beta_edge: float = 0.25  # penalty for hugging the pad edge
     k_delta: float = 0.3  # s/m, speed penalty scale
     far_radius: float = 2.0  # m
     near_radius: float = 0.1  # m
-    repulsive_enabled: bool = False
 
     def __post_init__(self):
         # A sign flip here turns a penalty into a reward (or back) without any other symptom.
-        check_settings(self, positive=("alpha", "q_max", "near_radius"),
+        check_settings(self, positive=("alpha", "near_radius"),
                        non_negative=("zeta", "beta_below", "beta_edge", "k_delta"))
         if not self.far_radius > self.near_radius:
             raise ValueError(f"need far_radius > near_radius, got {self.far_radius}, {self.near_radius}")
@@ -82,15 +85,15 @@ def _squash(x: float) -> float:
     return t
 
 
-def repulsive_potential(obstacle_distance: Optional[float], cfg: RewardConfig) -> float:
-    """Quadratic-in-inverse-clearance barrier, zero beyond the cutoff."""
-    if not cfg.repulsive_enabled or obstacle_distance is None:
+def repulsive_potential(obstacle_distance: Optional[float]) -> float:
+    """Quadratic-in-inverse-clearance barrier, zero beyond the cutoff and without an obstacle."""
+    if obstacle_distance is None:
         return 0.0
     if obstacle_distance <= 0.0:
         raise ObstacleContactError("obstacle distance is zero: collision, not a reward query")
-    if obstacle_distance >= cfg.q_max:
+    if obstacle_distance >= REPULSIVE_Q_MAX:
         return 0.0
-    return 0.5 * cfg.eta * (1.0 / obstacle_distance - 1.0 / cfg.q_max) ** 2
+    return 0.5 * REPULSIVE_ETA * (1.0 / obstacle_distance - 1.0 / REPULSIVE_Q_MAX) ** 2
 
 
 def compute_reward(
@@ -127,7 +130,7 @@ def compute_reward(
         return RewardBreakdown(total, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, progress)
 
     u_att = 0.5 * cfg.zeta * d * d
-    u_rep = repulsive_potential(obstacle_distance, cfg)
+    u_rep = repulsive_potential(obstacle_distance)
     beta = cfg.beta_below * float(below_pad) + cfg.beta_edge * float(near_edge)
     lateral_speed = math.hypot(vx, vy)
     delta = -cfg.k_delta * (lateral_speed + max(0.0, vz))

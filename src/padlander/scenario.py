@@ -24,6 +24,7 @@ from padlander.dynamics import clamp
 from padlander.records import check_settings, frozen_record
 
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
+PAD_HALF_EXTENT = 0.25  # m, half side of the 0.5 m square pad
 # (spec, segment) entries kept by the LMPL segment table. Every episode has its
 # own spec, and a 20 s episode at the default 3 s period has 7 segments.
 LMPL_SEGMENT_CACHE = 1024
@@ -40,7 +41,6 @@ class ScenarioKind(enum.Enum):
 class PlatformState:
     position: np.ndarray  # m, pad center, top surface
     velocity: np.ndarray  # m/s
-    half_extent: float = 0.25  # m, half side of the 0.5 m pad
 
 
 @dataclass(frozen=True)
@@ -59,45 +59,27 @@ class ScenarioSpec:
             raise ValueError(f"platform speed must be in [0, {PLATFORM_SPEED_LIMIT}], got {self.speed}")
 
 
-@frozen_record
-class WindState:
-    episode_windy: bool
-    force: np.ndarray  # N, currently applied
-    p_step: float
-    component_bound: float  # N
-
-
 # The force of every calm step: one shared, read-only zero vector.
 CALM_FORCE = np.zeros(3)
 CALM_FORCE.setflags(write=False)
 
 
-def init_wind(
-    rng: np.random.Generator,
-    p_episode: float = 0.2,
-    p_step: float = 0.2,
-    bound: float = 0.005,
-) -> WindState:
-    """Draw the episode-level wind coin; force starts at zero."""
-    if not (0.0 <= p_episode <= 1.0 and 0.0 <= p_step <= 1.0):
-        raise ValueError("wind probabilities must be in [0, 1]")
-    if bound < 0:
-        raise ValueError("force bound must be non-negative")
-    windy = bool(rng.uniform() < p_episode)
-    return WindState(windy, CALM_FORCE, p_step, bound)
+def init_wind(rng: np.random.Generator, p_episode: float) -> bool:
+    """Draw the episode-level wind coin: whether this episode is windy."""
+    if not 0.0 <= p_episode <= 1.0:
+        raise ValueError(f"p_episode must be in [0, 1], got {p_episode}")
+    return bool(rng.uniform() < p_episode)
 
 
-def sample_wind_step(state: WindState, rng: np.random.Generator) -> WindState:
-    """Resample the applied force for one control step of the episode.
+def sample_wind_step(windy: bool, rng: np.random.Generator, p_step: float, bound: float) -> np.ndarray:
+    """The force applied during one control step: CALM_FORCE on a calm step.
 
-    A calm step applies CALM_FORCE; after a calm step it returns state itself.
+    A windy episode applies a force with probability p_step, each component
+    uniform in [-bound, bound] N.
     """
-    if state.episode_windy and rng.uniform() < state.p_step:
-        force = rng.uniform(-state.component_bound, state.component_bound, size=3)
-        return WindState(state.episode_windy, force, state.p_step, state.component_bound)
-    if state.force is CALM_FORCE:
-        return state
-    return WindState(state.episode_windy, CALM_FORCE, state.p_step, state.component_bound)
+    if windy and rng.uniform() < p_step:
+        return rng.uniform(-bound, bound, size=3)
+    return CALM_FORCE
 
 
 def _segment_heading(spec: ScenarioSpec, k: int) -> float:

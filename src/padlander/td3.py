@@ -51,12 +51,12 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from padlander.environment import LandingEnv, StepOutcome, Terminal
+from padlander.environment import OBS_BOUNDS, LandingEnv, StepOutcome, Terminal
 from padlander.mlp import Adam, Mlp
 from padlander.records import check_settings
 from padlander.rng import substream
 
-OBS_DIM = 15
+OBS_DIM = len(OBS_BOUNDS)
 ACTION_DIM = 3
 HIDDEN = (512, 512, 256, 128)
 # Critic work per update, batch_size * critic.n_params, from which the update

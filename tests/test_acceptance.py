@@ -56,8 +56,7 @@ def test_criterion_1_reward_unit_suite():
             break
 
     # repulsive hand case
-    rep_cfg = RewardConfig(repulsive_enabled=True)
-    rep_ok = abs(repulsive_potential(0.2, rep_cfg) - 0.3125) < 1e-12
+    rep_ok = abs(repulsive_potential(0.2) - 0.3125) < 1e-12
 
     # below-pad penalty strictly decreases reward
     rel = np.array([0.0, 0.0, -0.05])
@@ -74,20 +73,20 @@ def test_criterion_2_wind_statistics():
     windy = 0
     episodes = 20_000
     for ep in range(episodes):
-        if init_wind(substream(ep, "wind"), 0.2, 0.2, 0.005).episode_windy:
+        if init_wind(substream(ep, "wind"), 0.2):
             windy += 1
     frac_episodes = windy / episodes
 
     rng = substream(123, "wind")
-    state = init_wind(rng, 1.0, 0.2, 0.005)  # force windy to measure step rate
+    windy = init_wind(rng, 1.0)  # force windy to measure step rate
     active = 0
     max_component = 0.0
     steps = 1_000_000
     for _ in range(steps):
-        state = sample_wind_step(state, rng)
-        if np.any(state.force != 0.0):
+        force = sample_wind_step(windy, rng, 0.2, 0.005)
+        if np.any(force != 0.0):
             active += 1
-            max_component = max(max_component, float(np.max(np.abs(state.force))))
+            max_component = max(max_component, float(np.max(np.abs(force))))
     frac_steps = active / steps
 
     ok = 0.18 <= frac_episodes <= 0.22 and 0.19 <= frac_steps <= 0.21 and max_component <= 0.005
@@ -260,19 +259,18 @@ def test_criterion_8_determinism():
 
 
 def test_criterion_9_environment_contracts():
-    cfg = EnvConfig()
     rng = np.random.default_rng(5)
 
     # observation box on fuzzed states
     box_ok = True
-    pad = PlatformState(np.zeros(3), np.zeros(3), 0.25)
+    pad = PlatformState(np.zeros(3), np.zeros(3))
     for _ in range(100_000):
         drone = DroneState(
             rng.uniform(-5, 5, 3), rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3),
             rng.uniform(-20, 20, 3), rng.uniform(-5, 5, 3),
         )
-        moving = PlatformState(rng.uniform(-5, 5, 3), rng.uniform(-0.5, 0.5, 3), 0.25)
-        obs = build_observation(drone, moving if rng.integers(2) else pad, cfg)
+        moving = PlatformState(rng.uniform(-5, 5, 3), rng.uniform(-0.5, 0.5, 3))
+        obs = build_observation(drone, moving if rng.integers(2) else pad)
         if obs.shape != (15,) or np.max(np.abs(obs)) > 1.0:
             box_ok = False
             break

@@ -126,6 +126,19 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert key in err and _NOT_SETTABLE[key] in err
 
+    def test_every_field_is_dumped_or_not_settable(self, capsys):
+        assert main(["config-dump"]) == 0
+        dumped = {line.partition(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+        cfg = RunConfig()
+        for section in dataclasses.fields(cfg):
+            value = getattr(cfg, section.name)
+            if not dataclasses.is_dataclass(value):
+                assert section.name in dumped
+                continue
+            for f in dataclasses.fields(value):
+                key = f"{section.name}.{f.name}"
+                assert (key in dumped) != (key in _NOT_SETTABLE), key
+
     def test_bad_value_named(self):
         with pytest.raises(ConfigError, match="td3.batch_size"):
             apply_item(RunConfig(), "td3.batch_size", "many")
@@ -200,6 +213,12 @@ class TestCliExitCodes:
 
     def test_benchmark_requires_controller(self):
         assert main(["benchmark", "--scenario", "SPL"]) == 2
+
+    def test_benchmark_both_needs_a_checkpoint_before_any_output(self, tmp_path, capsys):
+        rc = main(["benchmark", "--both", "--baseline", "--scenario", "SPL", "-o", f"outdir={tmp_path}"])
+        assert rc == 2
+        assert "--checkpoint" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -214,6 +214,14 @@ BAD_SETTINGS = [  # (build, field, value, error message pattern)
     *((build, f.name, value, rf"\b{f.name}\b")
       for build in SETTINGS for f in dataclasses.fields(getattr(build, "func", build)) if f.type is float
       for value in (math.nan, math.inf, -math.inf)),
+    # Every int field: a fraction, an infinity or a bool is not an integer.
+    *((build, f.name, value, f"^{f.name} must be an integer, got {value}$")
+      for build in SETTINGS for f in dataclasses.fields(getattr(build, "func", build)) if f.type is int
+      for value in (2.5, math.inf, True)),
+    # A whole-number float is not an integer either, and the field named is the one that holds it.
+    (functools.partial(EnvConfig, physics_hz=240.0), "control_hz", 30.0, "^control_hz must be an integer, got 30.0$"),
+    (functools.partial(EnvConfig, physics_hz=240.0), "control_hz", 30, "^physics_hz must be an integer, got 240.0$"),
+    *((PidController, "kp", kp, r"^kp must be finite") for kp in ([math.nan, 1, 1], [1, math.inf, 1], -math.inf)),
 ]
 
 

@@ -33,39 +33,35 @@ class TestObservation:
         assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
 
     def test_clip_then_scale(self):
-        cfg = EnvConfig()
         drone = DroneState(
             np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3)
         )
         pad = PlatformState(np.zeros(3), np.zeros(3))
-        obs = build_observation(drone, pad, cfg)
+        obs = build_observation(drone, pad)
         assert obs[3] == 1.0  # vx=5 clipped to bound 3, normalized to 1
 
     def test_coincident_states_zero_relative_block(self):
-        cfg = EnvConfig()
         drone = DroneState.at_rest([1.0, 2.0, 3.0])
         pad = PlatformState(np.array([1.0, 2.0, 3.0]), np.zeros(3))
-        obs = build_observation(drone, pad, cfg)
+        obs = build_observation(drone, pad)
         assert np.array_equal(obs[9:], np.zeros(6))
 
     def test_attitude_normalization(self):
-        cfg = EnvConfig()
         drone = DroneState(
             np.zeros(3), np.zeros(3), np.array([np.pi / 2, 0.0, 0.0]), np.zeros(3), np.zeros(3)
         )
         pad = PlatformState(np.zeros(3), np.zeros(3))
-        assert build_observation(drone, pad, cfg)[0] == pytest.approx(0.5)
+        assert build_observation(drone, pad)[0] == pytest.approx(0.5)
 
     def test_fuzzed_observation_box(self):
         rng = np.random.default_rng(23)
-        cfg = EnvConfig()
         for _ in range(5000):
             drone = DroneState(
                 rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3),
                 rng.uniform(-4, 4, 3), rng.uniform(-30, 30, 3), rng.uniform(-10, 10, 3),
             )
             pad = PlatformState(rng.uniform(-10, 10, 3), rng.uniform(-0.46, 0.46, 3))
-            obs = build_observation(drone, pad, cfg)
+            obs = build_observation(drone, pad)
             assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
 
 

@@ -53,6 +53,9 @@ GOLDEN_TRAIN = {
 }
 
 
+# `padlander reward-surface` at its defaults: z 0, range 3 m, 101 x 101 points.
+GOLDEN_REWARD_SURFACE = "55728c4768ef214001db467551af284a5ff3c37f53a4db40298b3cdebba6ccf7"
+
 # `padlander config-dump` with no config file or override.
 GOLDEN_CONFIG_DUMP = "98eabede974c73387c384969c64fb93d22140889f70c5e34e01a33837717930b"
 
@@ -120,6 +123,12 @@ def test_agent_output_digest(agent_dir, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
 def test_train_output_digest(train_dir, name):
     assert _sha256(train_dir / name) == GOLDEN_TRAIN[name]
+
+
+def test_default_reward_surface_digest(tmp_path):
+    out = tmp_path / "surface.csv"
+    assert main(["reward-surface", "--out", str(out)]) == 0
+    assert _sha256(out) == GOLDEN_REWARD_SURFACE
 
 
 def test_default_config_dump_digest(capsys):

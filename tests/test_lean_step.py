@@ -24,7 +24,7 @@ import padlander.environment as environment
 import padlander.scenario as scenario
 from padlander.baseline import EkfState, PidController, PidState, PursuitConfig, pursuit_command, run_baseline_episode
 from padlander.dynamics import DroneState, StateCorruptionError
-from padlander.environment import ActionRangeError, EnvConfig, LandingEnv, StepOutcome, build_observation
+from padlander.environment import OBS_BOUNDS, ActionRangeError, EnvConfig, LandingEnv, StepOutcome, build_observation
 from padlander.records import frozen_record
 from padlander.reward import RewardBreakdown, RewardCase
 from padlander.scenario import (
@@ -33,7 +33,6 @@ from padlander.scenario import (
     PlatformState,
     ScenarioKind,
     ScenarioSpec,
-    WindState,
     init_wind,
     platform_at,
     sample_wind_step,
@@ -121,14 +120,14 @@ def old_platform_at(spec, t):
     return pos, np.minimum(np.maximum(vel, -PLATFORM_SPEED_LIMIT), PLATFORM_SPEED_LIMIT)
 
 
-def old_build_observation(drone, pad, cfg):
+def old_build_observation(drone, pad):
     raw = np.concatenate(
         [drone.attitude, drone.velocity, drone.angular_velocity, pad.position - drone.position,
          pad.velocity - drone.velocity]
     )
     if not np.isfinite(raw).all():
         raise StateCorruptionError("non-finite state in observation assembly")
-    bounds = cfg.norm_bounds
+    bounds = OBS_BOUNDS
     return np.minimum(np.maximum(raw, -bounds), bounds) / bounds
 
 
@@ -140,9 +139,9 @@ def old_checked_action(action):
     return np.minimum(np.maximum(a, -1.0), 1.0)
 
 
-def old_wind_force(state, rng):
-    if state.episode_windy and rng.uniform() < state.p_step:
-        return rng.uniform(-state.component_bound, state.component_bound, size=3)
+def old_wind_force(windy, p_step, bound, rng):
+    if windy and rng.uniform() < p_step:
+        return rng.uniform(-bound, bound, size=3)
     return np.zeros(3)
 
 
@@ -337,16 +336,14 @@ class TestPlatformAt:
 class TestObservation:
     def test_random_states_match_numpy(self):
         rng = np.random.default_rng(43)
-        cfg = EnvConfig()
         for _ in range(500):
             v = rng.normal(size=(5, 3)) * rng.choice([0.1, 1.0, 20.0], size=(5, 1))
             drone = DroneState(v[0], v[1], v[2], v[3], v[0].copy())
             pad = PlatformState(v[4], rng.uniform(-0.46, 0.46, 3))
-            assert same(build_observation(drone, pad, cfg), old_build_observation(drone, pad, cfg))
+            assert same(build_observation(drone, pad), old_build_observation(drone, pad))
 
     def test_signed_zeros_and_bound_ties_match_numpy(self):
-        cfg = EnvConfig()
-        b = cfg.norm_bounds
+        b = OBS_BOUNDS
         cases = [
             # pad on the drone: zero differences, with either sign of zero
             (drone_at([0.0, -0.0, 1.0], [-0.0, 0.0, -0.0]), PlatformState(np.array([-0.0, 0.0, 1.0]), np.array([0.0, -0.0, -0.0]))),
@@ -357,7 +354,7 @@ class TestObservation:
              PlatformState(-b[9:12] * 4, np.array([0.46, -0.46, 0.0]))),
         ]
         for drone, pad in cases:
-            assert same(build_observation(drone, pad, cfg), old_build_observation(drone, pad, cfg))
+            assert same(build_observation(drone, pad), old_build_observation(drone, pad))
 
     @pytest.mark.parametrize("where", ["attitude", "velocity", "angular_velocity", "position"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -366,7 +363,7 @@ class TestObservation:
         getattr(drone, where)[1] = bad
         pad = PlatformState(np.zeros(3), np.zeros(3))
         with pytest.raises(StateCorruptionError, match="non-finite"):
-            build_observation(drone, pad, EnvConfig())
+            build_observation(drone, pad)
 
 
 GRACE = 1.0 + 1e-6
@@ -424,31 +421,27 @@ class TestWind:
     @pytest.mark.parametrize("p_episode, p_step", [(1.0, 0.2), (1.0, 1.0), (1.0, 0.0), (0.0, 0.2)])
     def test_forces_and_draws_match_numpy(self, p_episode, p_step):
         rng, ref_rng = np.random.default_rng(44), np.random.default_rng(44)
-        state = init_wind(rng, p_episode, p_step, 0.005)
-        ref_windy = bool(ref_rng.uniform() < p_episode)
-        assert state.episode_windy == ref_windy
-        ref = dataclasses.replace(state, force=np.zeros(3))
+        windy = init_wind(rng, p_episode)
+        assert windy == bool(ref_rng.uniform() < p_episode)
         for _ in range(500):
-            state = sample_wind_step(state, rng)
-            assert same(state.force, old_wind_force(ref, ref_rng))
+            assert same(sample_wind_step(windy, rng, p_step, 0.005), old_wind_force(windy, p_step, 0.005, ref_rng))
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_calm_step_shares_one_read_only_zero(self):
         rng = np.random.default_rng(0)
-        state = init_wind(rng, 0.0)
-        assert state.force is CALM_FORCE
+        windy = init_wind(rng, 0.0)
         for _ in range(5):
-            assert sample_wind_step(state, rng) is state  # nothing changed, nothing built
+            assert sample_wind_step(windy, rng, 0.2, 0.005) is CALM_FORCE  # nothing built
         with pytest.raises(ValueError, match="read-only"):
             CALM_FORCE[0] = 1.0
         assert same(CALM_FORCE, np.zeros(3))
 
     def test_calm_step_after_a_gust_returns_the_calm_zero(self):
         rng = np.random.default_rng(1)
-        gust = sample_wind_step(init_wind(rng, 1.0, 1.0), rng)
-        assert gust.force is not CALM_FORCE and np.all(gust.force != 0.0)
-        calm = sample_wind_step(dataclasses.replace(gust, p_step=0.0), rng)
-        assert calm.force is CALM_FORCE and calm.episode_windy
+        windy = init_wind(rng, 1.0)
+        gust = sample_wind_step(windy, rng, 1.0, 0.005)
+        assert gust is not CALM_FORCE and np.all(gust != 0.0)
+        assert sample_wind_step(windy, rng, 0.0, 0.005) is CALM_FORCE
 
 
 # -- records and traced boundaries ------------------------------------------
@@ -457,7 +450,6 @@ class TestWind:
 RECORDS = {
     DroneState: lambda: drone_at([1.0, 2.0, 3.0]),
     PlatformState: lambda: PlatformState(np.zeros(3), np.ones(3)),
-    WindState: lambda: WindState(True, np.ones(3), 0.2, 0.005),
     RewardBreakdown: lambda: RewardBreakdown(0.5, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, 0.1),
     StepOutcome: lambda: StepOutcome(np.zeros(15), None, environment.Terminal.NONE, 0.1, None, None, np.zeros(3),
                                      CALM_FORCE),
@@ -480,14 +472,18 @@ class TestRecords:
         with pytest.raises(TypeError):
             cls()
 
-    def test_defaults_and_keywords(self):
+    def test_keywords_and_equality(self):
         pad = PlatformState(velocity=np.ones(3), position=np.zeros(3))
-        assert pad.half_extent == 0.25
-        assert PlatformState(np.zeros(3), np.zeros(3), 0.5).half_extent == 0.5
+        assert same(pad.position, np.zeros(3)) and same(pad.velocity, np.ones(3))
         a, b = RewardBreakdown(0.5, RewardCase.MID, 0, 0, 0, 0, 0.1), RewardBreakdown(0.5, RewardCase.MID, 0, 0, 0, 0, 0.1)
         assert a == b and hash(a) == hash(b)
 
     def test_rejects_what_it_cannot_build(self):
+        with pytest.raises(TypeError, match="default"):
+            @frozen_record
+            class WithDefault:
+                x: float = 0.25
+
         with pytest.raises(TypeError, match="default_factory"):
             @frozen_record
             class WithFactory:

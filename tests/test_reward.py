@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from padlander.reward import (
+    REPULSIVE_Q_MAX,
     ObstacleContactError,
     RewardCase,
     RewardConfig,
@@ -58,22 +59,19 @@ class TestCases:
 
     def test_repulsive_hand_case(self):
         # 0.5 * 0.1 * (1/0.2 - 1/0.4)^2 = 0.3125, evaluated by hand
-        cfg = RewardConfig(eta=0.1, q_max=0.4, repulsive_enabled=True)
-        assert repulsive_potential(0.2, cfg) == pytest.approx(0.3125, abs=1e-12)
+        assert repulsive_potential(0.2) == pytest.approx(0.3125, abs=1e-12)
 
     def test_repulsion_continuous_at_cutoff(self):
-        cfg = RewardConfig(repulsive_enabled=True)
-        assert repulsive_potential(cfg.q_max, cfg) == 0.0
-        assert repulsive_potential(cfg.q_max - 1e-9, cfg) == pytest.approx(0.0, abs=1e-12)
+        assert repulsive_potential(REPULSIVE_Q_MAX) == 0.0
+        assert repulsive_potential(REPULSIVE_Q_MAX - 1e-9) == pytest.approx(0.0, abs=1e-12)
 
-    def test_repulsion_disabled_by_default(self):
-        out = reward_at([0.05, 0.0, 0.0], obstacle=0.01)
-        assert out.u_repulsive == 0.0
+    def test_repulsion_only_near_an_obstacle(self):
+        assert reward_at([0.05, 0.0, 0.0]).u_repulsive == 0.0
+        assert reward_at([0.05, 0.0, 0.0], obstacle=0.2).u_repulsive == pytest.approx(0.3125, abs=1e-12)
 
     def test_contact_rejected_with_repulsion(self):
-        cfg = RewardConfig(repulsive_enabled=True)
         with pytest.raises(ObstacleContactError):
-            reward_at([0.05, 0.0, 0.0], obstacle=0.0, cfg=cfg)
+            reward_at([0.05, 0.0, 0.0], obstacle=0.0)
 
 
 class TestSafetyAndSpeed:

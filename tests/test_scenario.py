@@ -45,57 +45,55 @@ def find_seed(predicate, limit=1000):
     raise AssertionError("no seed found")
 
 
+# EnvConfig's default wind: episode and step probabilities, component bound in N.
+P_EPISODE, P_STEP, BOUND = 0.2, 0.2, 0.005
+
+
 class TestWind:
     def test_episode_coin_branches(self):
         calm_seed = find_seed(lambda r: 0.2 <= r.uniform() < 0.3)
         windy_seed = find_seed(lambda r: r.uniform() < 0.2)
-        calm = init_wind(np.random.default_rng(calm_seed))
-        assert not calm.episode_windy
-        windy = init_wind(np.random.default_rng(windy_seed))
-        assert windy.episode_windy
+        assert not init_wind(np.random.default_rng(calm_seed), P_EPISODE)
+        assert init_wind(np.random.default_rng(windy_seed), P_EPISODE)
 
     def test_calm_episode_force_stays_zero(self):
         rng = np.random.default_rng(0)
-        state = init_wind(rng, p_episode=0.0)
-        assert not state.episode_windy
+        windy = init_wind(rng, p_episode=0.0)
+        assert not windy
         for _ in range(200):
-            state = sample_wind_step(state, rng)
-            assert np.array_equal(state.force, np.zeros(3))
+            assert np.array_equal(sample_wind_step(windy, rng, P_STEP, BOUND), np.zeros(3))
 
     def test_zero_probability_never_windy(self):
         for s in range(50):
-            assert not init_wind(np.random.default_rng(s), p_episode=0.0).episode_windy
+            assert not init_wind(np.random.default_rng(s), p_episode=0.0)
 
     def test_windy_force_components_bounded(self):
         rng = np.random.default_rng(1)
-        state = init_wind(rng, p_episode=1.0)
+        windy = init_wind(rng, p_episode=1.0)
         for _ in range(2000):
-            state = sample_wind_step(state, rng)
-            assert np.max(np.abs(state.force)) <= 0.005
+            assert np.max(np.abs(sample_wind_step(windy, rng, P_STEP, BOUND))) <= 0.005
 
     def test_step_activation_rate(self):
         # Monte-Carlo estimate of the per-step Bernoulli rate inside a windy episode.
         rng = np.random.default_rng(2)
-        state = init_wind(rng, p_episode=1.0)
+        windy = init_wind(rng, p_episode=1.0)
         n, active = 100_000, 0
         for _ in range(n):
-            state = sample_wind_step(state, rng)
-            if np.any(state.force != 0.0):
+            if np.any(sample_wind_step(windy, rng, P_STEP, BOUND) != 0.0):
                 active += 1
         assert 0.19 <= active / n <= 0.21
 
     def test_force_symmetric_about_zero(self):
         rng = np.random.default_rng(3)
-        state = init_wind(rng, p_episode=1.0, p_step=1.0)
+        windy = init_wind(rng, p_episode=1.0)
         total = np.zeros(3)
         n = 200_000
         for _ in range(n):
-            state = sample_wind_step(state, rng)
-            total += state.force
+            total += sample_wind_step(windy, rng, 1.0, BOUND)
         assert np.all(np.abs(total / n) < 2e-4)
 
     def test_episode_rate_over_many_episodes(self):
-        windy = sum(init_wind(substream(s, "wind")).episode_windy for s in range(10_000))
+        windy = sum(init_wind(substream(s, "wind"), P_EPISODE) for s in range(10_000))
         assert 0.18 <= windy / 10_000 <= 0.22
 
     def test_bad_probability_rejected(self):
