@@ -69,8 +69,8 @@ print(report_text(report))
 # The same benchmark, with artifacts written to a run directory:
 #
 # ```
-# padlander benchmark --baseline --scenario ALL --trials 10 --wind --seed 0
+# padlander benchmark --baseline --scenario ALL --trials 10 --seed 0
 # ```
 #
 # A trained agent checkpoint slots into the identical trial seeds with
-# `--checkpoint <path> --both`, making the comparison paired.
+# `--checkpoint <path> --baseline`, making the comparison paired.

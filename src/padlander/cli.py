@@ -9,12 +9,10 @@ import csv
 import math
 import os
 import sys
-import time
-from dataclasses import replace
 
 from padlander.config import ConfigError, RunConfig, apply_item, dump_config, load_config
-from padlander.environment import TRACE_COLUMNS, EnvConfig, LandingEnv
-from padlander.evaluation import Controller, run_benchmark, write_report
+from padlander.environment import TRACE_COLUMNS, LandingEnv
+from padlander.evaluation import Controller, report_text, run_benchmark, write_report
 from padlander.reward import write_surface_csv
 from padlander.scenario import ScenarioKind
 from padlander.td3 import load_checkpoint, save_checkpoint, train, write_curve_csv
@@ -42,12 +40,8 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _run_dir(cfg: RunConfig, label: str, deterministic_name: bool) -> str:
-    if deterministic_name:
-        name = f"{label}_s{cfg.seed}"
-    else:
-        name = f"{label}_s{cfg.seed}_{time.strftime('%Y%m%d-%H%M%S')}"
-    path = os.path.join(cfg.outdir, name)
+def _run_dir(cfg: RunConfig, label: str) -> str:
+    path = os.path.join(cfg.outdir, f"{label}_s{cfg.seed}")
     os.makedirs(path, exist_ok=True)
     return path
 
@@ -73,7 +67,7 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     if args.total_steps is not None:
         cfg = apply_item(cfg, "td3.total_steps", str(args.total_steps))
-    outdir = _run_dir(cfg, "train", not args.timestamp_dir)
+    outdir = _run_dir(cfg, "train")
     _write_resolved(outdir, cfg)
 
     def env_factory():
@@ -104,31 +98,20 @@ def cmd_benchmark(args) -> int:
     cfg = _load(args)
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
-    wind = args.wind or cfg.evaluation.wind
-    # run_benchmark sets env.wind_enabled from wind, so resolved.cfg records that too.
-    cfg = replace(cfg, evaluation=replace(cfg.evaluation, wind=wind), env=replace(cfg.env, wind_enabled=wind))
-    scenarios = _scenario_list(args.scenario)
-    if args.baseline and args.checkpoint:
-        raise ConfigError("pass either --baseline or --checkpoint, not both")
-    if args.both and not args.checkpoint:
-        raise ConfigError("--both runs the agent too: pass --checkpoint PATH")
+    scenarios = _scenario_list(args.scenario or ["ALL"])
     if not args.baseline and not args.checkpoint:
-        raise ConfigError("pass --baseline or --checkpoint PATH")
-    learner = None
-    controllers = [Controller.EKF_PID]
-    if args.checkpoint:
-        learner = load_checkpoint(args.checkpoint, cfg.td3)
-        controllers = [Controller.AGENT]
-    if args.both:
-        controllers = [Controller.AGENT, Controller.EKF_PID]
+        raise ConfigError("pass --baseline, --checkpoint PATH, or both")
+    # In each scenario the agent's trials come first, then the baseline's on the same seeds.
+    controllers = ([Controller.AGENT] if args.checkpoint else []) + ([Controller.EKF_PID] if args.baseline else [])
+    learner = load_checkpoint(args.checkpoint, cfg.td3) if args.checkpoint else None
 
-    outdir = _run_dir(cfg, "benchmark", not args.timestamp_dir)
+    outdir = _run_dir(cfg, "benchmark")
     _write_resolved(outdir, cfg)
     report = run_benchmark(
         scenarios,
         controllers,
         trials_per_scenario=args.trials,
-        wind=wind,
+        wind=cfg.env.wind_enabled,
         seed=cfg.seed,
         learner=learner,
         env_cfg=cfg.env,
@@ -140,8 +123,7 @@ def cmd_benchmark(args) -> int:
         scenario_params=cfg.scenario_params,
     )
     write_report(outdir, report)
-    with open(os.path.join(outdir, "report.txt")) as f:
-        print(f.read(), end="")
+    print(report_text(report), end="")
     print(f"report -> {outdir}")
     return 0
 
@@ -242,20 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", help="scenario for training episodes (SPL/LMPL/CMPL/CTL)")
     p.add_argument("--total-steps", type=int)
     p.add_argument("--resume", help="checkpoint to fine-tune from")
-    p.add_argument("--timestamp-dir", action="store_true",
-                   help="append a timestamp to the run directory name")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("benchmark", help="run the scenario benchmark")
     _add_common(p)
-    p.add_argument("--checkpoint", help="trained agent checkpoint")
-    p.add_argument("--baseline", action="store_true", help="run the EKF+PID baseline")
-    p.add_argument("--both", action="store_true", help="run agent and baseline (paired seeds)")
+    p.add_argument("--checkpoint", help="run the trained agent from this checkpoint")
+    p.add_argument("--baseline", action="store_true",
+                   help="run the EKF+PID baseline; with --checkpoint, on the agent's seeds")
     p.add_argument("--scenario", action="append", default=None,
                    help="scenario name or ALL; repeatable")
     p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--wind", action="store_true")
-    p.add_argument("--timestamp-dir", action="store_true")
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("reward-surface", help="export the reward-surface grid CSV")
@@ -283,8 +261,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "benchmark" and not args.scenario:
-            args.scenario = ["ALL"]
         return args.func(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -26,11 +26,6 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class EvalSettings:
-    wind: bool = False
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     outdir: str = "runs"
@@ -42,13 +37,12 @@ class RunConfig:
     td3: Td3Hyperparams = field(default_factory=Td3Hyperparams)
     baseline: PursuitConfig = field(default_factory=PursuitConfig)
     pid: PidController = field(default_factory=PidController)
-    evaluation: EvalSettings = field(default_factory=EvalSettings)
 
     def scenario_spec(self) -> ScenarioSpec:
         return replace(self.scenario_params, kind=ScenarioKind[self.scenario])
 
 
-_SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pid", "evaluation")
+_SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pid")
 
 
 # Fields a user cannot set, each with the reason.

@@ -37,9 +37,7 @@ The loader accepts exactly what the writer writes. It rebuilds the learner
 from `dims.actor`, sets the counters and RNG state from their lines, and
 then requires the file's header to equal, line for line, the header the
 writer would write for that learner; the error names the key of the first
-line that differs. The one variant it also reads is `optimizer_state 0`,
-an older v1 file whose payload holds the nets alone; it loads with zero
-Adam moments.
+line that differs.
 """
 
 import functools
@@ -323,7 +321,7 @@ class CheckpointFormatError(ValueError):
     pass
 
 
-def _layout(learner: Td3Learner, optimizer_state: int = 1):
+def _layout(learner: Td3Learner):
     """The checkpoint layout for this learner, each part in file order.
 
     Returns the header lines the writer writes (format version, `nets`,
@@ -339,7 +337,7 @@ def _layout(learner: Td3Learner, optimizer_state: int = 1):
         header.append(f"dims.{name} " + ",".join(str(d) for d in net.layer_dims))
         header.append(f"activation.{name} relu/{net.output_activation}")
     header += [
-        f"optimizer_state {optimizer_state}",
+        "optimizer_state 1",
         "adam_t " + ",".join(str(opt.t) for opt in opts),
         f"n_updates {learner.n_updates}",
         "rng " + json.dumps(learner.update_rng.bit_generator.state),
@@ -398,21 +396,18 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
 
     learner = need("dims.actor", build)
     _, flats, opts = _layout(learner)
-    optimizer_state = need("optimizer_state", lambda text: {"0": 0, "1": 1}[text])
     for opt, t in zip(opts, need("adam_t", lambda text: _counts(text, len(opts)))):
         opt.t = t
     (learner.n_updates,) = need("n_updates", lambda text: _counts(text, 1))
     need("rng", lambda text: setattr(learner.update_rng.bit_generator, "state", json.loads(text)))
     # The writer's header for this learner must be the file's, line for line.
-    for n, (got, want) in enumerate(zip_longest(lines, _layout(learner, optimizer_state)[0]), 1):
+    for n, (got, want) in enumerate(zip_longest(lines, _layout(learner)[0]), 1):
         if got != want:
             key = (want or got).partition(" ")[0]
             raise CheckpointFormatError(f"{path}: malformed {key!r} value in header line {n}: "
                                         f"{got!r}, expected {want!r}")
 
-    # save_checkpoint always writes optimizer_state 1; older v1 files with 0
-    # hold the nets alone and load with zero Adam moments.
-    arrays = flats + (_moments(opts) if optimizer_state else [])
+    arrays = flats + _moments(opts)
     expected = 4 * sum(a.size for a in arrays)
     if len(payload) != expected:
         raise CheckpointFormatError(f"{path}: payload is {len(payload)} bytes, header promises {expected}")

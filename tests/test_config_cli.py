@@ -16,6 +16,7 @@ from padlander.config import (
 )
 from padlander.environment import TRACE_COLUMNS
 from padlander.scenario import ScenarioKind
+from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint
 
 DEFAULT_DUMP = """\
 seed = 0
@@ -77,7 +78,6 @@ pid.integral_clamp = 0.5
 pid.kd = 0.3
 pid.ki = 0.05
 pid.output_clamp = 0.1
-evaluation.wind = false
 """
 
 
@@ -180,7 +180,7 @@ class TestConfigParsing:
         cfg = RunConfig()
         sections = [getattr(cfg, f.name) for f in dataclasses.fields(cfg)]
         sections = [v for v in sections if dataclasses.is_dataclass(v)]
-        assert len(sections) == 8
+        assert len(sections) == 7
         for value in [cfg] + sections:
             assert type(value).__dataclass_params__.frozen, type(value).__name__
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -214,10 +214,32 @@ class TestCliExitCodes:
     def test_benchmark_requires_controller(self):
         assert main(["benchmark", "--scenario", "SPL"]) == 2
 
-    def test_benchmark_both_needs_a_checkpoint_before_any_output(self, tmp_path, capsys):
-        rc = main(["benchmark", "--both", "--baseline", "--scenario", "SPL", "-o", f"outdir={tmp_path}"])
+    def test_benchmark_without_a_controller_is_usage_error_before_any_output(self, tmp_path, capsys):
+        rc = main(["benchmark", "--scenario", "SPL", "-o", f"outdir={tmp_path}"])
         assert rc == 2
-        assert "--checkpoint" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--baseline" in err and "--checkpoint" in err
+        assert list(tmp_path.iterdir()) == []
+
+    # Removed spellings: wind is env.wind_enabled, and --checkpoint with --baseline is the paired run.
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1", "--wind"],
+        ["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1", "--both"],
+        ["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1", "--timestamp-dir"],
+        ["train", "--scenario", "SPL", "--total-steps", "1", "--timestamp-dir"],
+    ], ids=["benchmark-wind", "benchmark-both", "benchmark-timestamp-dir", "train-timestamp-dir"])
+    def test_removed_flag_is_usage_error_before_any_output(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["-o", f"outdir={tmp_path}"])
+        assert exc.value.code == 2
+        assert argv[-1] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_removed_evaluation_section_is_usage_error_before_any_output(self, tmp_path, capsys):
+        rc = main(["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1",
+                   "-o", f"outdir={tmp_path}", "-o", "evaluation.wind=true"])
+        assert rc == 2
+        assert "evaluation.wind" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys):
@@ -385,7 +407,7 @@ class TestCliCommands:
         for d in ("a", "b"):
             rc = main([
                 "benchmark", "--baseline", "--scenario", "LMPL", "--trials", "2",
-                "--wind", "--seed", "6", "-o", f"outdir={tmp_path / d}",
+                "--seed", "6", "-o", f"outdir={tmp_path / d}",
             ])
             assert rc == 0
         a = (tmp_path / "a" / "benchmark_s6" / "trials.csv").read_bytes()
@@ -394,16 +416,36 @@ class TestCliCommands:
 
     @pytest.mark.parametrize("wind", [False, True])
     def test_benchmark_rerun_from_resolved_cfg_is_identical(self, tmp_path, wind):
-        base = ["benchmark", "--baseline", "--scenario", "LMPL", "--trials", "3", "--seed", "5"]
-        assert main(base + ["--wind"] * wind + ["-o", f"outdir={tmp_path / 'a'}"]) == 0
-        resolved = tmp_path / "a" / "benchmark_s5" / "resolved.cfg"
-        lines = resolved.read_text().splitlines()
         value = str(wind).lower()
-        assert f"evaluation.wind = {value}" in lines and f"env.wind_enabled = {value}" in lines
+        base = ["benchmark", "--baseline", "--scenario", "LMPL", "--trials", "3", "--seed", "5"]
+        assert main(base + ["-o", f"env.wind_enabled={value}", "-o", f"outdir={tmp_path / 'a'}"]) == 0
+        resolved = tmp_path / "a" / "benchmark_s5" / "resolved.cfg"
+        assert f"env.wind_enabled = {value}" in resolved.read_text().splitlines()
         assert main(base + ["--config", str(resolved), "-o", f"outdir={tmp_path / 'b'}"]) == 0
         a = (tmp_path / "a" / "benchmark_s5" / "trials.csv").read_bytes()
         b = (tmp_path / "b" / "benchmark_s5" / "trials.csv").read_bytes()
         assert a == b
+
+    def test_benchmark_reads_wind_from_env_wind_enabled(self, tmp_path):
+        assert main(["benchmark", "--baseline", "--scenario", "SPL", "--trials", "2", "--seed", "1",
+                     "-o", "env.wind_enabled=true", "-o", f"outdir={tmp_path}"]) == 0
+        run_dir = tmp_path / "benchmark_s1"
+        rows = (run_dir / "trials.csv").read_text().splitlines()
+        assert rows[0].endswith(",wind") and len(rows) == 3
+        assert all(row.endswith(",1") for row in rows[1:])
+        assert "env.wind_enabled = true" in (run_dir / "resolved.cfg").read_text().splitlines()
+
+    def test_benchmark_checkpoint_and_baseline_run_paired(self, tmp_path):
+        ckpt = tmp_path / "agent.bin"
+        save_checkpoint(ckpt, Td3Learner(Td3Hyperparams(hidden_dims=(8, 8)), seed=2))
+        assert main(["benchmark", "--checkpoint", str(ckpt), "--baseline", "--scenario", "SPL",
+                     "--scenario", "LMPL", "--trials", "2", "--seed", "4", "-o", f"outdir={tmp_path}"]) == 0
+        rows = [row.split(",")[:3] for row in
+                (tmp_path / "benchmark_s4" / "trials.csv").read_text().splitlines()[1:]]
+        assert [(s, c) for s, c, _ in rows] == [(s, c) for s in ("SPL", "LMPL")
+                                                 for c in ("Agent", "EkfPid") for _ in range(2)]
+        for i in (0, 4):  # each scenario's agent seeds are its baseline seeds
+            assert [seed for _, _, seed in rows[i:i + 2]] == [seed for _, _, seed in rows[i + 2:i + 4]]
 
     def test_benchmark_applies_pid_overrides(self, tmp_path):
         trials = {}

@@ -57,7 +57,7 @@ GOLDEN_TRAIN = {
 GOLDEN_REWARD_SURFACE = "55728c4768ef214001db467551af284a5ff3c37f53a4db40298b3cdebba6ccf7"
 
 # `padlander config-dump` with no config file or override.
-GOLDEN_CONFIG_DUMP = "98eabede974c73387c384969c64fb93d22140889f70c5e34e01a33837717930b"
+GOLDEN_CONFIG_DUMP = "361a9aaef84a48baf9d710c40075ae17fa8b4659348b8380dc94cb21e7e2461c"
 
 
 def _sha256(path) -> str:
@@ -66,7 +66,7 @@ def _sha256(path) -> str:
 
 @pytest.fixture(scope="module")
 def benchmark_dir(tmp_path_factory):
-    """Ten wind-on baseline trials per scenario, seed 0, as `benchmark --baseline --wind`."""
+    """Ten wind-on baseline trials per scenario, seed 0, as `benchmark --baseline`."""
     out = tmp_path_factory.mktemp("golden")
     report = run_benchmark(list(ScenarioKind), [Controller.EKF_PID], 10, wind=True, seed=0,
                            trace_dir=str(out / "traces"))
