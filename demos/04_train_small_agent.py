@@ -15,9 +15,10 @@
 # the TD3 machinery with twin critics, target networks, delayed policy
 # updates, the hand-written backprop — is identical.
 #
-# Expect the evaluation return to climb from "wanders until timeout" toward
-# "closes distance and sometimes lands". A small net at 30k steps is not a
-# landing champion; it is a learning-curve demonstration.
+# Expect the evaluation return to move as the agent learns to close distance
+# to the pad. Do not expect landings: the last measurement of this demo ended
+# at 0.0 evaluation success. It is a learning-curve demonstration, not a
+# landing agent.
 
 # %%
 import time
@@ -62,5 +63,6 @@ print(f"\n{result.episodes} episodes, final curve point: {result.curve[-1]}")
 # padlander train --scenario LMPL --seed 43 --resume runs/train_s42/checkpoint.bin
 # ```
 #
-# The second line fine-tunes the static-pad agent on moving pads, which is
-# how the benchmark agent in this repository's experiments was produced.
+# The second line fine-tunes the static-pad agent on moving pads. This is the
+# recipe acceptance criterion 7 runs (`tests/test_acceptance.py`, marked slow);
+# no trained agent is committed to this repository.

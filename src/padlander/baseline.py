@@ -22,7 +22,7 @@ could round differently.
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -176,22 +176,26 @@ def ekf_update(state: EkfState, z: np.ndarray) -> EkfState:
 class PidController:
     """PID gains; the per-episode history lives in a PidState."""
 
-    kp: np.ndarray = field(default_factory=lambda: np.array([1.2, 1.2, 1.0]))
+    kp: Tuple[float, float, float] = (1.2, 1.2, 1.0)
     ki: float = 0.05
     kd: float = 0.3
     integral_clamp: float = 0.5
     output_clamp: float = SETPOINT_DELTA_BOUND
 
     def __post_init__(self):
-        # Each clamp is the interval [-c, c]: c <= 0 pins or inverts it.
+        # Each clamp is the interval [-c, c]: c <= 0 pins or inverts it. The env
+        # rejects a setpoint delta beyond SETPOINT_DELTA_BOUND, so a wider output clamp
+        # turns the baseline's larger commands into errors.
         check_settings(self, positive=("integral_clamp", "output_clamp"))
-        # command() reads the per-axis gains with tolist(), so kp is held as a float 3-vector.
-        kp = np.asarray(self.kp, dtype=float)
-        if kp.shape != (3,):
-            kp = np.broadcast_to(kp, (3,)).copy()
+        if self.output_clamp > SETPOINT_DELTA_BOUND:
+            raise ValueError(f"output_clamp must be at most the actuation bound {SETPOINT_DELTA_BOUND}, "
+                             f"got {self.output_clamp}")
+        # Any kp that broadcasts to a finite 3-vector is held as a tuple of three
+        # floats, so the record compares and hashes as a value.
+        kp = np.broadcast_to(np.asarray(self.kp, dtype=float), (3,))
         if not np.isfinite(kp).all():
             raise ValueError(f"kp must be finite, got {kp}")
-        object.__setattr__(self, "kp", kp)
+        object.__setattr__(self, "kp", tuple(kp.tolist()))
 
     def command(self, state: "PidState", error: np.ndarray, dt: float) -> np.ndarray:
         """PID on the position error, clamped to the actuation bound; advances state."""
@@ -207,7 +211,7 @@ class PidController:
             px, py, pz = state.prev_error.tolist()
             dx, dy, dz = (ex - px) / dt, (ey - py) / dt, (ez - pz) / dt
         state.prev_error = error
-        kx, ky, kz = self.kp.tolist()
+        kx, ky, kz = self.kp
         ki, kd = self.ki, self.kd
         c = self.output_clamp
         return np.array([clamp(kx * ex + ki * ix + kd * dx, -c, c), clamp(ky * ey + ki * iy + kd * dy, -c, c),
@@ -289,13 +293,13 @@ def run_baseline_episode(
     drone = env.drone
     approach_offset = cfg.approach_height
 
-    action_scale, sigma, normal = env.cfg.action_scale, cfg.measurement_sigma, meas_rng.normal
+    sigma, normal = cfg.measurement_sigma, meas_rng.normal
     outcomes, est_rows = [], []
     terminal = Terminal.NONE
     while terminal is Terminal.NONE:
         ekf = ekf_predict(ekf)
         delta, approach_offset = pursuit_command(ekf, drone, pid, pid_state, approach_offset, dt, cfg)
-        out = env.step(delta / action_scale)
+        out = env.step(delta / SETPOINT_DELTA_BOUND)
         drone = out.drone
         ekf = ekf_update(ekf, out.pad.position + normal(0.0, sigma, size=3))
         outcomes.append(out)

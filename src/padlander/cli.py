@@ -15,7 +15,7 @@ from padlander.environment import TRACE_COLUMNS, LandingEnv
 from padlander.evaluation import Controller, report_text, run_benchmark, write_report
 from padlander.reward import write_surface_csv
 from padlander.scenario import ScenarioKind
-from padlander.td3 import load_checkpoint, save_checkpoint, train, write_curve_csv
+from padlander.td3 import ACTION_DIM, OBS_DIM, load_checkpoint, save_checkpoint, train, write_curve_csv
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -34,9 +34,6 @@ def _load(args) -> RunConfig:
         cfg = apply_item(cfg, key, value)
     if getattr(args, "seed", None) is not None:
         cfg = apply_item(cfg, "seed", str(args.seed))
-    scenario = getattr(args, "scenario", None)
-    if isinstance(scenario, str) and scenario:
-        cfg = apply_item(cfg, "scenario", scenario)
     return cfg
 
 
@@ -63,19 +60,27 @@ def _scenario_list(names) -> list:
     return out
 
 
+def _load_agent(path, hp):
+    """The checkpoint's learner, whose actor must map the env's observation to its action."""
+    learner = load_checkpoint(path, hp)
+    if (learner.obs_dim, learner.action_dim) != (OBS_DIM, ACTION_DIM):
+        raise ConfigError(f"{path}: actor maps {learner.obs_dim} -> {learner.action_dim} dims, "
+                          f"the env needs {OBS_DIM} -> {ACTION_DIM}")
+    return learner
+
+
 def cmd_train(args) -> int:
     cfg = _load(args)
+    if args.scenario:
+        cfg = apply_item(cfg, "scenario_params.kind", args.scenario)
     if args.total_steps is not None:
         cfg = apply_item(cfg, "td3.total_steps", str(args.total_steps))
+    learner = _load_agent(args.resume, cfg.td3) if args.resume else None
     outdir = _run_dir(cfg, "train")
     _write_resolved(outdir, cfg)
 
     def env_factory():
-        return LandingEnv(cfg.scenario_spec(), cfg.env, cfg.reward, cfg.drone)
-
-    learner = None
-    if args.resume:
-        learner = load_checkpoint(args.resume, cfg.td3)
+        return LandingEnv(cfg.scenario_params, cfg.env, cfg.reward, cfg.drone)
 
     def checkpoint_sink(step, lrn):
         save_checkpoint(os.path.join(outdir, f"checkpoint_{step:08d}.bin"), lrn)
@@ -103,7 +108,7 @@ def cmd_benchmark(args) -> int:
         raise ConfigError("pass --baseline, --checkpoint PATH, or both")
     # In each scenario the agent's trials come first, then the baseline's on the same seeds.
     controllers = ([Controller.AGENT] if args.checkpoint else []) + ([Controller.EKF_PID] if args.baseline else [])
-    learner = load_checkpoint(args.checkpoint, cfg.td3) if args.checkpoint else None
+    learner = _load_agent(args.checkpoint, cfg.td3) if args.checkpoint else None
 
     outdir = _run_dir(cfg, "benchmark")
     _write_resolved(outdir, cfg)
@@ -221,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the TD3 agent")
     _add_common(p)
-    p.add_argument("--scenario", help="scenario for training episodes (SPL/LMPL/CMPL/CTL)")
+    p.add_argument("--scenario", help="scenario for training episodes, SPL/LMPL/CMPL/CTL (sets scenario_params.kind)")
     p.add_argument("--total-steps", type=int)
     p.add_argument("--resume", help="checkpoint to fine-tune from")
     p.set_defaults(func=cmd_train)

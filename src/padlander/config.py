@@ -1,21 +1,30 @@
 """Flat-text run configuration.
 
-Format: one `section.key = value` per line, `#` comments, blank lines
-ignored. Every default in the stack is overridable, except the fields
-_NOT_SETTABLE lists with a reason; unknown keys are rejected with the
-offending key named.
+Format: one `key = value` per line, `#` comments, blank lines ignored. A key
+is a top-level field (`seed`, `outdir`) or `section.field`. Every key is
+parsed, checked and dumped by one rule, driven by the field's declared type:
+bools read true/false (also 1/0, yes/no, on/off), enums read a member name in
+any case, and a float is written as `%.9g` when that reads back to the same
+float and as `repr` otherwise, so `resolved.cfg` parses back to the exact run.
+The scenario is `scenario_params.kind` (`train --scenario` sets it). The
+actuation bound is the constant `dynamics.SETPOINT_DELTA_BOUND`, not a key:
+there is no `env.action_scale`. Every field is settable except those
+_NOT_SETTABLE lists with a reason (`scenario_params.seed`, `pid.kp`,
+`td3.hidden_dims`); unknown keys are rejected with the offending key named.
 Sections are frozen: an override builds a new RunConfig. Each run writes
 its fully resolved configuration next to its outputs so results are
 reproducible from artifacts alone.
 """
 
 import dataclasses
+import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
 from padlander.baseline import PidController, PursuitConfig
 from padlander.dynamics import DroneParams
 from padlander.environment import EnvConfig
+from padlander.records import check_settings
 from padlander.reward import RewardConfig
 from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import Td3Hyperparams
@@ -29,7 +38,6 @@ class ConfigError(ValueError):
 class RunConfig:
     seed: int = 0
     outdir: str = "runs"
-    scenario: str = "SPL"
     drone: DroneParams = field(default_factory=DroneParams)
     scenario_params: ScenarioSpec = field(default_factory=lambda: ScenarioSpec(ScenarioKind.SPL))
     reward: RewardConfig = field(default_factory=RewardConfig)
@@ -38,16 +46,12 @@ class RunConfig:
     baseline: PursuitConfig = field(default_factory=PursuitConfig)
     pid: PidController = field(default_factory=PidController)
 
-    def scenario_spec(self) -> ScenarioSpec:
-        return replace(self.scenario_params, kind=ScenarioKind[self.scenario])
-
-
-_SECTIONS = ("drone", "scenario_params", "reward", "env", "td3", "baseline", "pid")
+    def __post_init__(self):
+        check_settings(self, non_negative=("seed",))
 
 
 # Fields a user cannot set, each with the reason.
 _NOT_SETTABLE = {
-    "scenario_params.kind": "set the top-level 'scenario' key instead",
     "scenario_params.seed": "reset() draws every episode's seed from the run seed; "
     "set the top-level 'seed' key instead",
     "pid.kp": "a per-axis gain vector, and the format has no list syntax yet",
@@ -55,9 +59,19 @@ _NOT_SETTABLE = {
 }
 
 
-def _configurable_fields(section: str, obj) -> Dict[str, type]:
-    return {f.name: type(getattr(obj, f.name)) for f in dataclasses.fields(obj)
-            if f"{section}.{f.name}" not in _NOT_SETTABLE}
+def _configurable_fields() -> Dict[str, type]:
+    """Every settable key with its declared type, in dump order: top-level fields, then each section's, sorted."""
+    keys = {}
+    for f in dataclasses.fields(RunConfig):
+        if dataclasses.is_dataclass(f.type):
+            for g in sorted(dataclasses.fields(f.type), key=lambda g: g.name):
+                keys[f"{f.name}.{g.name}"] = g.type
+        else:
+            keys[f.name] = f.type
+    return {key: t for key, t in keys.items() if key not in _NOT_SETTABLE}
+
+
+_KEYS = _configurable_fields()
 
 
 def _parse_value(text: str, target_type: type):
@@ -69,47 +83,42 @@ def _parse_value(text: str, target_type: type):
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"expected boolean, got {text!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
-    return text
+    if issubclass(target_type, enum.Enum):
+        for member in target_type:
+            if member.name.lower() == text.lower():
+                return member
+        raise ConfigError(f"expected one of {list(target_type.__members__)}, got {text!r}")
+    return target_type(text)  # int, float or str
+
+
+def _format_value(value) -> str:
+    """The text _parse_value reads back to exactly this value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, enum.Enum):
+        return value.name
+    if isinstance(value, float):
+        short = f"{value:.9g}"
+        return short if float(short) == value else repr(value)
+    return str(value)
 
 
 def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
-    """Apply one `section.key = value` item; unknown keys are errors."""
+    """Apply one `key = value` item; unknown keys are errors."""
     key = key.strip()
-    if key == "seed":
-        try:
-            seed = _parse_value(value, int)
-        except ValueError as e:
-            raise ConfigError(f"bad value for seed: {e}") from None
-        if seed < 0:
-            raise ConfigError(f"bad value for seed: must be non-negative, got {seed}")
-        return replace(cfg, seed=seed)
-    if key == "outdir":
-        return replace(cfg, outdir=value.strip())
-    if key == "scenario":
-        name = value.strip().upper()
-        if name not in ScenarioKind.__members__:
-            raise ConfigError(f"scenario must be one of {list(ScenarioKind.__members__)}, got {value!r}")
-        return replace(cfg, scenario=name)
     if key in _NOT_SETTABLE:
         raise ConfigError(f"{key} cannot be set: {_NOT_SETTABLE[key]}")
-    section, _, attr = key.partition(".")
-    if section not in _SECTIONS or not attr:
-        raise ConfigError(f"unknown configuration key {key!r}")
-    target = getattr(cfg, section)
-    fields = _configurable_fields(section, target)
-    if attr not in fields:
-        raise ConfigError(f"unknown key {key!r}; valid {section} keys: {sorted(fields)}")
+    if key not in _KEYS:
+        section = key.partition(".")[0]
+        valid = [k for k in _KEYS if k.startswith(section + ".")]
+        raise ConfigError(f"unknown configuration key {key!r}" + (f"; valid {section} keys: {valid}" if valid else ""))
+    section, _, name = key.rpartition(".")
     try:
-        parsed = _parse_value(value, fields[attr])
-    except (ValueError, ConfigError) as e:
-        raise ConfigError(f"bad value for {key}: {e}") from None
-    try:
-        return replace(cfg, **{section: replace(target, **{attr: parsed})})
-    except ValueError as e:  # the section's own range check
+        parsed = _parse_value(value, _KEYS[key])
+        if section:
+            name, parsed = section, replace(getattr(cfg, section), **{name: parsed})
+        return replace(cfg, **{name: parsed})
+    except ValueError as e:  # a malformed value, or the record's own range check
         raise ConfigError(f"bad value for {key}: {e}") from None
 
 
@@ -135,15 +144,10 @@ def load_config(path: str, base: RunConfig = None) -> RunConfig:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Fully resolved flat-text form, round-trippable through parse_config_text."""
-    lines = [f"seed = {cfg.seed}", f"outdir = {cfg.outdir}", f"scenario = {cfg.scenario}"]
-    for section in _SECTIONS:
-        target = getattr(cfg, section)
-        for name in sorted(_configurable_fields(section, target)):
-            value = getattr(target, name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = f"{value:.9g}"
-            lines.append(f"{section}.{name} = {value}")
+    """Fully resolved flat-text form; parse_config_text reads it back to an equal RunConfig."""
+    lines = []
+    for key in _KEYS:
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(cfg, section) if section else cfg, name)
+        lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from padlander.dynamics import (DroneParams, DroneState, StateCorruptionError, apply_setpoint_delta, clamp,
-                                step_drone_many)
+from padlander.dynamics import (SETPOINT_DELTA_BOUND, DroneParams, DroneState, StateCorruptionError,
+                                apply_setpoint_delta, clamp, step_drone_many)
 from padlander.records import check_settings, frozen_record
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
@@ -64,7 +64,6 @@ class EnvConfig:
     episode_cap: float = 20.0  # s
     control_hz: int = 30
     physics_hz: int = 240
-    action_scale: float = 0.1  # m per unit action
     touchdown_vertical: float = 0.05  # m, contact band above pad top
     touchdown_speed: float = 0.5  # m/s, max relative speed
     crash_descent_speed: float = 1.0  # m/s
@@ -79,7 +78,7 @@ class EnvConfig:
 
     def __post_init__(self):
         # A threshold <= 0 ends every episode at once or makes touchdown unreachable.
-        check_settings(self, positive=("control_hz", "physics_hz", "action_scale", "episode_cap",
+        check_settings(self, positive=("control_hz", "physics_hz", "episode_cap",
                                        "out_of_bounds_radius", "touchdown_vertical", "touchdown_speed",
                                        "crash_descent_speed"),
                        non_negative=("wind_bound",), unit=("wind_p_episode", "wind_p_step"))
@@ -229,7 +228,7 @@ class LandingEnv:
 
         cfg = self.cfg
         wind_force = sample_wind_step(self._windy, self._wind_rng, cfg.wind_p_step, cfg.wind_bound)
-        drone = apply_setpoint_delta(self._drone, cfg.action_scale * a)
+        drone = apply_setpoint_delta(self._drone, SETPOINT_DELTA_BOUND * a)
         drone = step_drone_many(drone, self.drone_params, wind_force, self._physics_dt, self._substeps)
 
         self._step_count += 1

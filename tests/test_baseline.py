@@ -17,7 +17,7 @@ from padlander.baseline import (
     run_baseline_episode,
     transition_matrix,
 )
-from padlander.dynamics import DroneState, StateCorruptionError
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import EnvConfig, LandingEnv, Terminal
 from padlander.scenario import ScenarioKind, ScenarioSpec
 
@@ -320,6 +320,13 @@ class TestPid:
         with pytest.raises(ValueError, match="positive"):
             PidController(**{field: value})
 
+    @pytest.mark.parametrize("value", [0.1 + 1e-12, 0.125, 0.2, 10.0])
+    def test_output_clamp_above_actuation_bound_rejected(self, value):
+        # the env rejects a setpoint delta beyond SETPOINT_DELTA_BOUND, so the baseline's larger commands would crash
+        with pytest.raises(ValueError, match="output_clamp must be at most the actuation bound 0.1"):
+            PidController(output_clamp=value)
+        assert PidController(output_clamp=SETPOINT_DELTA_BOUND).output_clamp == 0.1
+
     def test_clamps_match_np_clip(self):
         pid = PidController(integral_clamp=0.02)
         ref_pid = PidController(integral_clamp=0.02)
@@ -374,12 +381,12 @@ class TestPursuit:
 
     def test_lookahead_leads_moving_estimate(self):
         cfg = PursuitConfig(lookahead=0.5)
-        pid = PidController(kp=np.ones(3), ki=0.0, kd=0.0, output_clamp=10.0)
-        est = EkfState.create(1 / 30, x0=[0.0, 0.0, 0.0, 0.3, 0.0, 0.0])
+        pid = PidController(kp=np.ones(3), ki=0.0, kd=0.0)
+        est = EkfState.create(1 / 30, x0=[0.0, 0.0, 0.0, 0.12, 0.0, 0.0])
         drone = DroneState.at_rest([0.0, 0.0, 0.0])
         delta, _ = pursuit_command(est, drone, pid, PidState(), 0.0, 1 / 30, cfg)
-        # pure P control toward the led target 0.3 * 0.5 = 0.15 m ahead
-        assert delta[0] == pytest.approx(0.15)
+        # pure P control toward the led target 0.12 * 0.5 = 0.06 m ahead, inside the 0.1 m output clamp
+        assert delta[0] == pytest.approx(0.06)
 
 
 class TestClosedLoop:

@@ -1,8 +1,12 @@
 import dataclasses
 import hashlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padlander.cli import main
 from padlander.config import (
@@ -16,12 +20,11 @@ from padlander.config import (
 )
 from padlander.environment import TRACE_COLUMNS
 from padlander.scenario import ScenarioKind
-from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint
+from padlander.td3 import ACTION_DIM, OBS_DIM, Td3Hyperparams, Td3Learner, save_checkpoint
 
 DEFAULT_DUMP = """\
 seed = 0
 outdir = runs
-scenario = SPL
 drone.a_max = 10
 drone.gravity = 9.81
 drone.kp_pos = 4
@@ -30,6 +33,7 @@ drone.tau_v = 0.25
 scenario_params.curve_radius = 0.5
 scenario_params.direction_change_period = 3
 scenario_params.initial_heading = 0
+scenario_params.kind = SPL
 scenario_params.speed = 0.3
 scenario_params.vertical_amplitude = 0.2
 reward.alpha = 5
@@ -40,7 +44,6 @@ reward.gamma = -1
 reward.k_delta = 0.3
 reward.near_radius = 0.1
 reward.zeta = 0.5
-env.action_scale = 0.1
 env.control_hz = 30
 env.crash_descent_speed = 1
 env.episode_cap = 20
@@ -80,12 +83,40 @@ pid.ki = 0.05
 pid.output_clamp = 0.1
 """
 
+DEFAULT_DUMP_KEYS = [line.partition(" = ")[0] for line in DEFAULT_DUMP.splitlines()]
+
+
+def _get(cfg, key):
+    section, _, name = key.rpartition(".")
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+def _with(cfg, key, value):
+    """cfg with one key set to a typed value, through the records' own checks."""
+    section, _, name = key.rpartition(".")
+    if section:
+        name, value = section, replace(getattr(cfg, section), **{name: value})
+    return replace(cfg, **{name: value})
+
+
+def _value_strategy(default):
+    """Values of the default's type: any finite float (%.9g rounds most of them), ints, bools, scenario kinds."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, ScenarioKind):
+        return st.sampled_from(ScenarioKind)
+    if isinstance(default, int):
+        return st.one_of(st.integers(0, 1000), st.integers(0, 2**40))
+    if isinstance(default, float):
+        return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
+    return st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+
 
 class TestConfigParsing:
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg.seed == 0
-        assert cfg.scenario == "SPL"
+        assert cfg.scenario_params.kind is ScenarioKind.SPL
         assert cfg.reward.alpha == 5.0
 
     def test_apply_section_item(self):
@@ -95,9 +126,21 @@ class TestConfigParsing:
     def test_apply_top_level(self):
         cfg = apply_item(RunConfig(), "seed", "11")
         assert cfg.seed == 11
-        cfg = apply_item(cfg, "scenario", "lmpl")
-        assert cfg.scenario == "LMPL"
-        assert cfg.scenario_spec().kind is ScenarioKind.LMPL
+        cfg = apply_item(cfg, "outdir", " out/here ")
+        assert cfg.outdir == "out/here"
+
+    @pytest.mark.parametrize("text", ["LMPL", "lmpl", "Lmpl"])
+    def test_scenario_kind_parses_by_member_name_in_any_case(self, text):
+        assert apply_item(RunConfig(), "scenario_params.kind", text).scenario_params.kind is ScenarioKind.LMPL
+
+    def test_bad_scenario_kind_names_key_and_members(self):
+        with pytest.raises(ConfigError, match=r"scenario_params.kind: expected one of \['SPL', 'LMPL', 'CMPL', 'CTL'\]"):
+            apply_item(RunConfig(), "scenario_params.kind", "XPL")
+
+    def test_equal_configs_compare_and_hash_equal(self):
+        assert RunConfig() == RunConfig()
+        assert hash(RunConfig()) == hash(RunConfig())
+        assert apply_item(RunConfig(), "pid.kd", "0.7") != RunConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -108,10 +151,6 @@ class TestConfigParsing:
         for key in ("env.touchdown_lateral", "drone.physics_dt"):
             with pytest.raises(ConfigError, match="unknown"):
                 apply_item(RunConfig(), key, "0.5")
-
-    def test_scenario_kind_blocked_in_section(self):
-        with pytest.raises(ConfigError, match="scenario"):
-            apply_item(RunConfig(), "scenario_params.kind", "LMPL")
 
     def test_scenario_seed_blocked_in_section(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -168,13 +207,33 @@ class TestConfigParsing:
     def test_dump_round_trip(self):
         cfg = apply_item(RunConfig(), "reward.alpha", "3.25")
         cfg = apply_item(cfg, "td3.total_steps", "5000")
-        cfg = apply_item(cfg, "scenario", "CTL")
+        cfg = apply_item(cfg, "scenario_params.kind", "CTL")
         dumped = dump_config(cfg)
         reparsed = parse_config_text(dumped)
         assert dump_config(reparsed) == dumped
         assert reparsed.reward.alpha == 3.25
         assert reparsed.td3.total_steps == 5000
-        assert reparsed.scenario == "CTL"
+        assert reparsed.scenario_params.kind is ScenarioKind.CTL
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_dump_parses_back_to_the_same_config_property(self, data):
+        cfg = RunConfig()
+        for key in DEFAULT_DUMP_KEYS:
+            value = data.draw(_value_strategy(_get(cfg, key)), label=key)
+            try:
+                cfg = _with(cfg, key, value)
+            except ValueError:
+                pass  # outside the record's range: the key keeps its value
+        again = parse_config_text(dump_config(cfg))
+        assert again == cfg
+        assert hash(again) == hash(cfg)
+
+    @pytest.mark.parametrize("value", [7.1234567891234, 0.00012345678912, 0.1 + 0.2, 1e-310, 5e-324, -0.0, 1e300])
+    def test_float_that_9g_rounds_parses_back_exactly(self, value):
+        again = parse_config_text(dump_config(_with(RunConfig(), "drone.gravity", value)))
+        assert again.drone.gravity == value
+        assert math.copysign(1.0, again.drone.gravity) == math.copysign(1.0, value)
 
     def test_every_section_is_frozen(self):
         cfg = RunConfig()
@@ -242,6 +301,32 @@ class TestCliExitCodes:
         assert "evaluation.wind" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_removed_scenario_key_is_usage_error_naming_it(self, tmp_path, capsys):
+        # the scenario is scenario_params.kind
+        assert main(["config-dump", "-o", "scenario=LMPL"]) == 2
+        assert "'scenario'" in capsys.readouterr().err
+        old = tmp_path / "old.cfg"
+        old.write_text("seed = 1\nscenario = SPL\n")
+        assert main(["config-dump", "--config", str(old)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and "'scenario'" in err
+
+    def test_removed_action_scale_is_unknown_key(self, capsys):
+        # the env scales an action by dynamics.SETPOINT_DELTA_BOUND
+        assert main(["config-dump", "-o", "env.action_scale=0.1"]) == 2
+        assert "unknown configuration key 'env.action_scale'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["benchmark", "--scenario", "SPL", "--checkpoint"],
+                                         ["train", "--total-steps", "1", "--resume"]], ids=["benchmark", "train"])
+    def test_checkpoint_with_wrong_dims_is_usage_error_before_any_output(self, tmp_path, capsys, command):
+        ckpt = tmp_path / "obs4.bin"
+        save_checkpoint(ckpt, Td3Learner(Td3Hyperparams(hidden_dims=(8, 8)), seed=2, obs_dim=4))
+        runs = tmp_path / "runs"
+        assert main(command + [str(ckpt), "-o", f"outdir={runs}"]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and f"4 -> {ACTION_DIM}" in err and f"{OBS_DIM} -> {ACTION_DIM}" in err
+        assert not runs.exists()
+
     def test_corrupt_checkpoint_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"garbage")
@@ -301,6 +386,7 @@ class TestCliExitCodes:
         "baseline.approach_height=-0.5",
         "baseline.align_radius=0",
         "baseline.measurement_sigma=-0.1",
+        "pid.output_clamp=0.2",
         "seed=-4",
         "seed=four",
     ])
@@ -349,6 +435,25 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "reward.alpha = 9.5" in out
         assert "seed = 4" in out
+
+    def test_config_dump_prints_floats_exactly(self, capsys):
+        assert main(["config-dump", "-o", "reward.alpha=7.1234567891234",
+                     "-o", "td3.learning_rate=0.00012345678912"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "reward.alpha = 7.1234567891234" in out
+        assert "td3.learning_rate = 0.00012345678912" in out
+
+    def test_train_rerun_from_resolved_cfg_is_identical(self, tmp_path):
+        # Both floats are ones that %.9g rounds; --scenario sets scenario_params.kind.
+        assert main(["train", "--seed", "3", "--scenario", "LMPL", "--total-steps", "300",
+                     "-o", "reward.alpha=7.1234567891234", "-o", "td3.learning_rate=0.00012345678912",
+                     "-o", "td3.eval_interval=150", "-o", "td3.eval_episodes=2", "-o", "td3.batch_size=16",
+                     "-o", "td3.learning_starts=50", "-o", f"outdir={tmp_path / 'a'}"]) == 0
+        resolved = tmp_path / "a" / "train_s3" / "resolved.cfg"
+        assert "scenario_params.kind = LMPL" in resolved.read_text().splitlines()
+        assert main(["train", "--config", str(resolved), "-o", f"outdir={tmp_path / 'b'}"]) == 0
+        for name in ("checkpoint.bin", "curve.csv"):
+            assert (tmp_path / "a" / "train_s3" / name).read_bytes() == (tmp_path / "b" / "train_s3" / name).read_bytes()
 
     def test_config_dump_defaults(self, capsys):
         assert main(["config-dump"]) == 0

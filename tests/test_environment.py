@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 import numpy as np
 import pytest
 
-from padlander.dynamics import DroneState
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState
 from padlander.environment import (
     ActionRangeError,
     EnvConfig,
@@ -142,7 +142,7 @@ class TestStep:
         obs = env.reset(3)
         for _ in range(round(env.cfg.episode_cap * env.cfg.control_hz)):
             rel = platform_at(env.episode_spec, env._t).position - env.drone.position
-            action = np.clip(rel / env.cfg.action_scale, -1.0, 1.0)
+            action = np.clip(rel / SETPOINT_DELTA_BOUND, -1.0, 1.0)
             # soften the final approach to stay under the touchdown speed
             if np.linalg.norm(rel) < 0.3:
                 action = np.clip(action, -0.3, 0.3)

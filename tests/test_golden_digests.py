@@ -57,7 +57,7 @@ GOLDEN_TRAIN = {
 GOLDEN_REWARD_SURFACE = "55728c4768ef214001db467551af284a5ff3c37f53a4db40298b3cdebba6ccf7"
 
 # `padlander config-dump` with no config file or override.
-GOLDEN_CONFIG_DUMP = "361a9aaef84a48baf9d710c40075ae17fa8b4659348b8380dc94cb21e7e2461c"
+GOLDEN_CONFIG_DUMP = "6988eff3a59a0a96e4fc60ea421acace92b6a9521b8c78bcf2a7bb90b1793872"
 
 
 def _sha256(path) -> str:

@@ -23,7 +23,7 @@ import padlander.baseline as baseline
 import padlander.environment as environment
 import padlander.scenario as scenario
 from padlander.baseline import EkfState, PidController, PidState, PursuitConfig, pursuit_command, run_baseline_episode
-from padlander.dynamics import DroneState, StateCorruptionError
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import OBS_BOUNDS, ActionRangeError, EnvConfig, LandingEnv, StepOutcome, build_observation
 from padlander.records import frozen_record
 from padlander.reward import RewardBreakdown, RewardCase
@@ -185,17 +185,19 @@ class TestPid:
 
     def test_ties_at_both_clamp_bounds(self):
         # integral + 0 * dt sits exactly on +-integral_clamp; kp * e sits exactly on +-output_clamp
-        pid = PidController(kp=np.ones(3), ki=0.0, kd=0.0, integral_clamp=0.25, output_clamp=0.125)
+        pid = PidController(kp=np.ones(3), ki=0.0, kd=0.0, integral_clamp=0.25, output_clamp=0.0625)
         for integral in ([0.25, -0.25, 0.0], [-0.25, 0.25, -0.0]):
             state, ref = PidState(np.array(integral)), PidState(np.array(integral))
             assert_pid_step_equal(pid, state, ref, [0.0, -0.0, 0.0], 0.1)
-            assert_pid_step_equal(pid, state, ref, [0.125, -0.125, 0.125], 0.1)
+            assert_pid_step_equal(pid, state, ref, [0.0625, -0.0625, 0.0625], 0.1)
 
-    def test_kp_is_a_float_three_vector(self):
+    def test_kp_is_a_tuple_of_three_floats(self):
         assert same(PidController(kp=2).kp, [2.0, 2.0, 2.0])
         assert same(PidController(kp=[1, 2, 3]).kp, [1.0, 2.0, 3.0])
-        gains = np.array([1.0, 2.0, 3.0])
-        assert PidController(kp=gains).kp is gains  # a float 3-vector is held as given
+        kp = PidController(kp=np.array([1.0, 2.0, 3.0])).kp
+        assert kp == (1.0, 2.0, 3.0) and all(type(k) is float for k in kp)
+        assert PidController(kp=[1, 2, 3]) == PidController(kp=(1.0, 2.0, 3.0))
+        assert hash(PidController(kp=2)) == hash(PidController(kp=(2.0, 2.0, 2.0)))
         with pytest.raises(ValueError):
             PidController(kp=[1.0, 2.0])
 
@@ -205,12 +207,13 @@ class TestPid:
         integral=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
         prev=st.one_of(st.none(), st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3)),
         gains=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
-        clamps=st.lists(st.floats(1e-300, 1e300, exclude_min=False), min_size=2, max_size=2),
+        integral_clamp=st.floats(1e-300, 1e300),
+        output_clamp=st.floats(1e-300, SETPOINT_DELTA_BOUND),
         dt=st.floats(1e-3, 1.0),
     )
-    def test_float_clamps_match_numpy_property(self, error, integral, prev, gains, clamps, dt):
+    def test_float_clamps_match_numpy_property(self, error, integral, prev, gains, integral_clamp, output_clamp, dt):
         pid = PidController(kp=np.array(gains[:3]), ki=gains[3], kd=gains[4],
-                            integral_clamp=clamps[0], output_clamp=clamps[1])
+                            integral_clamp=integral_clamp, output_clamp=output_clamp)
         prev = None if prev is None else np.array(prev)
         state = PidState(np.array(integral), prev)
         ref = PidState(np.array(integral), None if prev is None else prev.copy())
@@ -397,8 +400,8 @@ class TestAction:
             return
         out = env.step(np.array(action))
         assert same(out.action, want)
-        # the setpoint moved by action_scale * the clamped action
-        assert same(out.drone.setpoint, before.position + env.cfg.action_scale * want)
+        # the setpoint moved by SETPOINT_DELTA_BOUND * the clamped action
+        assert same(out.drone.setpoint, before.position + SETPOINT_DELTA_BOUND * want)
 
     @pytest.mark.parametrize("action", ACTIONS, ids=str)
     def test_check_and_clamp_match_numpy(self, action):

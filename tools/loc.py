@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each src/padlander module and their total.
+"""Count the code lines of each src/padlander module and their total, then the total of tests/.
 
     python3 tools/loc.py
 
@@ -10,7 +10,9 @@ a module, class or function docstring. Docstrings are found with ast.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "padlander"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "padlander"
+TESTS = ROOT / "tests"
 
 
 def docstring_lines(tree: ast.Module) -> set:
@@ -39,6 +41,7 @@ def main() -> None:
         total += n
         print(f"{n:6d}  {path.name}")
     print(f"{total:6d}  total")
+    print(f"{sum(code_lines(path) for path in TESTS.glob('*.py')):6d}  tests total")
 
 
 if __name__ == "__main__":
