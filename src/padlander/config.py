@@ -6,6 +6,8 @@ parsed, checked and dumped by one rule, driven by the field's declared type:
 bools read true/false (also 1/0, yes/no, on/off), enums read a member name in
 any case, and a float is written as `%.9g` when that reads back to the same
 float and as `repr` otherwise, so `resolved.cfg` parses back to the exact run.
+A str value (`outdir`) must be one line without `#` or edge whitespace,
+the only strings a config line gives back unchanged.
 The scenario is `scenario_params.kind` (`train --scenario` sets it). The
 actuation bound is the constant `dynamics.SETPOINT_DELTA_BOUND`, not a key:
 there is no `env.action_scale`. Every field is settable except those
@@ -48,6 +50,10 @@ class RunConfig:
 
     def __post_init__(self):
         check_settings(self, non_negative=("seed",))
+        # dump_config writes `outdir = <value>` and the parser cuts a line at
+        # `#` and strips it, so only such a value reads back as itself.
+        if "#" in self.outdir or self.outdir != self.outdir.strip() or len(self.outdir.splitlines()) > 1:
+            raise ValueError(f"outdir must be one line without '#' or edge whitespace, got {self.outdir!r}")
 
 
 # Fields a user cannot set, each with the reason.

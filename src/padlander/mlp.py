@@ -16,15 +16,20 @@ Buffer ownership: a net allocates its activation, delta and ReLU-mask
 buffers once per batch size, and one flat gradient buffer. forward()
 returns a fresh array. The flat gradient buffer returned by backward() is
 overwritten by the next backward() on the same net; step the optimizer
-with it (or copy it) before then. Every float operation runs in the same
-order as the plain `h @ w + b` formulation that tests/test_mlp.py keeps as
-its reference, so results are bit-identical to it.
+with it (or copy it) before then. Given a submit callable, one backward()
+writes that buffer from two threads: the caller walks the delta chain
+while submitted jobs write each layer's weight and bias gradients, and
+backward() joins every job before it returns or raises. Every float
+operation runs in the same order as the plain `h @ w + b` formulation
+that tests/test_mlp.py keeps as its reference, so results are
+bit-identical to it.
 
 Parameters default to float32; float64 is available for gradient
 verification against finite differences.
 """
 
-from typing import Optional, Sequence, Tuple
+import functools
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +46,17 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-def _chunks(n: int):
-    for lo in range(0, n, CHUNK):
-        yield slice(lo, min(lo + CHUNK, n))
+def _chunks(lo: int, hi: int):
+    for start in range(lo, hi, CHUNK):
+        yield slice(start, min(start + CHUNK, hi))
+
+
+def _polyak_chunk(target: np.ndarray, online: np.ndarray, tau: float, s: np.ndarray) -> None:
+    """target <- tau * online + (1 - tau) * target for one chunk; s is scratch of its length."""
+    dt = target.dtype.type
+    target *= dt(1.0 - tau)
+    np.multiply(online, dt(tau), out=s)
+    target += s
 
 
 class Mlp:
@@ -117,7 +130,11 @@ class Mlp:
         return h[0].copy() if squeeze else h.copy()
 
     def backward(
-        self, upstream: np.ndarray, need_input_grad: bool = True, need_param_grads: bool = True
+        self,
+        upstream: np.ndarray,
+        need_input_grad: bool = True,
+        need_param_grads: bool = True,
+        submit: Optional[Callable] = None,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Gradients of sum(output * upstream) w.r.t. parameters and input.
 
@@ -127,6 +144,13 @@ class Mlp:
         net overwrites it. d_input is a fresh array. Either is None when its
         need_* flag is false, which skips its products: the layer-0 input
         product, or every weight-gradient product and bias sum.
+
+        With submit (an executor's submit: it takes a job and returns its
+        concurrent.futures.Future), each layer's weight-gradient product and
+        bias sum are submitted as soon as that layer's delta exists, while
+        this thread goes on down the delta chain. Each job reads buffers
+        this thread no longer writes. Every job is joined before backward()
+        returns or raises, and a job's error is raised here.
         """
         if self._cache is None:
             raise RuntimeError("backward() without a cached forward() pass")
@@ -153,19 +177,33 @@ class Mlp:
         if self._grads is None:
             self._grads = np.empty_like(self.flat)
             self._grad_views = self._views(self._grads)
-        gw, gb = self._grad_views
-        for i in range(self.n_layers - 1, -1, -1):
-            if need_param_grads:
-                np.matmul(acts[i].T, delta, out=gw[i])
-                np.sum(delta, axis=0, out=gb[i])
-            if i > 0:
-                nxt, mask = deltas[i - 1], masks[i - 1]
-                np.matmul(delta, self.weights[i].T, out=nxt)
-                np.greater(acts[i], 0, out=mask)
-                np.multiply(nxt, mask, out=nxt)
-                delta = nxt
-        d_input = delta @ self.weights[0].T if need_input_grad else None
+        jobs = []
+        try:
+            for i in range(self.n_layers - 1, -1, -1):
+                if need_param_grads:
+                    if submit is None:
+                        self._param_grads(i, acts[i], delta)
+                    else:
+                        jobs.append(submit(functools.partial(self._param_grads, i, acts[i], delta)))
+                if i > 0:
+                    nxt, mask = deltas[i - 1], masks[i - 1]
+                    np.matmul(delta, self.weights[i].T, out=nxt)
+                    np.greater(acts[i], 0, out=mask)
+                    np.multiply(nxt, mask, out=nxt)
+                    delta = nxt
+            d_input = delta @ self.weights[0].T if need_input_grad else None
+        finally:
+            for job in jobs:
+                job.exception()  # waits for the job without raising its error
+        for job in jobs:
+            job.result()
         return (self._grads if need_param_grads else None), d_input
+
+    def _param_grads(self, i: int, h: np.ndarray, delta: np.ndarray) -> None:
+        """Layer i's weight gradient h.T @ delta and bias gradient, into the flat gradient buffer."""
+        gw, gb = self._grad_views
+        np.matmul(h.T, delta, out=gw[i])
+        np.sum(delta, axis=0, out=gb[i])
 
     def copy(self) -> "Mlp":
         clone = Mlp.__new__(Mlp)
@@ -180,15 +218,10 @@ class Mlp:
 
     def polyak_from(self, online: "Mlp", tau: float) -> None:
         """target <- tau * online + (1 - tau) * target, in place."""
-        keep, take = self.dtype(1.0 - tau), self.dtype(tau)
         if self._scratch is None:
             self._scratch = np.empty(min(CHUNK, self.n_params), self.dtype)
-        for c in _chunks(self.n_params):
-            target = self.flat[c]
-            s = self._scratch[: c.stop - c.start]
-            target *= keep
-            np.multiply(online.flat[c], take, out=s)
-            target += s
+        for c in _chunks(0, self.n_params):
+            _polyak_chunk(self.flat[c], online.flat[c], tau, self._scratch[: c.stop - c.start])
 
 
 class Adam:
@@ -201,8 +234,21 @@ class Adam:
         self.m = np.zeros_like(flat_params)
         self.v = np.zeros_like(flat_params)
         self._scratch = np.empty(min(CHUNK, flat_params.size), flat_params.dtype)
+        self._worker_scratch = None  # the second lane's chunk, made on its first use
 
-    def step(self, flat_grads: np.ndarray) -> None:
+    def step(
+        self, flat_grads: np.ndarray, target: Optional[Mlp] = None, tau: float = 0.0, both: Optional[Callable] = None
+    ) -> None:
+        """One Adam step; with target, then target.polyak_from(online, tau) where online owns the parameters.
+
+        Each chunk's Polyak pass runs right after its Adam pass, so every
+        element sees the float operations of step() followed by polyak_from()
+        in the same order. Given both (td3's two-lane runner: both(mine,
+        theirs) runs the two thunks and returns once both have finished),
+        this thread steps the first half of the chunks and the other lane
+        the rest, which holds the short last chunk; each lane has its own
+        scratch chunk.
+        """
         if flat_grads.shape != self.params.shape:
             raise ValueError("gradient buffer does not match parameter buffer")
         g = flat_grads.astype(self.params.dtype, copy=False)
@@ -213,19 +259,32 @@ class Adam:
         beta1, one_m_beta1 = dt(ADAM_BETA1), dt(1.0 - ADAM_BETA1)
         beta2, one_m_beta2 = dt(ADAM_BETA2), dt(1.0 - ADAM_BETA2)
         inv_b2t, eps, step = dt(1.0 / b2t), dt(ADAM_EPS), dt(self.lr / b1t)
-        for c in _chunks(self.params.size):
-            m, v, gc = self.m[c], self.v[c], g[c]
-            s = self._scratch[: c.stop - c.start]
-            m *= beta1
-            np.multiply(gc, one_m_beta1, out=s)
-            m += s
-            v *= beta2
-            np.multiply(gc, gc, out=s)
-            s *= one_m_beta2
-            v += s
-            np.multiply(v, inv_b2t, out=s)
-            np.sqrt(s, out=s)
-            s += eps
-            np.divide(m, s, out=s)
-            s *= step
-            self.params[c] -= s
+
+        def run(lo: int, hi: int, scratch: np.ndarray) -> None:
+            for c in _chunks(lo, hi):
+                m, v, gc, p = self.m[c], self.v[c], g[c], self.params[c]
+                s = scratch[: c.stop - c.start]
+                m *= beta1
+                np.multiply(gc, one_m_beta1, out=s)
+                m += s
+                v *= beta2
+                np.multiply(gc, gc, out=s)
+                s *= one_m_beta2
+                v += s
+                np.multiply(v, inv_b2t, out=s)
+                np.sqrt(s, out=s)
+                s += eps
+                np.divide(m, s, out=s)
+                s *= step
+                p -= s
+                if target is not None:
+                    _polyak_chunk(target.flat[c], p, tau, s)
+
+        n = self.params.size
+        if both is None:
+            run(0, n, self._scratch)
+            return
+        if self._worker_scratch is None:
+            self._worker_scratch = np.empty_like(self._scratch)
+        mid = CHUNK * ((n + CHUNK - 1) // CHUNK // 2)  # this thread's chunks: half of them, rounded down
+        both(lambda: run(0, mid, self._scratch), lambda: run(mid, n, self._worker_scratch))

@@ -7,19 +7,24 @@ toward their online twins. Replay is a uniform ring buffer.
 
 An update runs in two lanes: the caller's thread and one long-lived worker
 thread. The caller draws the target noise (the update's only RNG use) and
-owns the target actor, target_critic1, critic1, the actor step and the
-target actor's Polyak update. The worker owns the target_critic2 forward,
-critic2's forward, backward and Adam step, on policy updates the
-pi = actor(obs) forward (the actor has not stepped since the last policy
-update), and the target critics' Polyak updates, which it runs while the
-caller steps the actor. The lanes join before y, before the actor step and
-before update() returns, even when a lane raises. Neither lane reads a
-buffer the other writes between two joins, each net keeps its own scratch
-buffers, and each lane runs its float operations in the sequential order,
-so every output byte of an update that returns equals the one-thread
-update's. The worker is used only when it has a core to itself (see
-_lane_pays) and the critic work reaches LANE_MIN_WORK; otherwise the same
-lane functions run one after the other on the caller's thread.
+owns the target actor's forward, target_critic1, critic1 and the actor's
+delta chain. The worker owns the target_critic2 forward and critic2's
+forward, backward and Adam step. A policy update gives the worker more: the
+pi = actor(obs) forward beside the target actor's (the actor steps only
+after the critics), the target critics' Polyak updates, each actor layer's
+weight-gradient product and bias sum as soon as the caller has that layer's
+delta, and half of the actor's Adam chunks, each fused with the target
+actor's Polyak update of that chunk. The lanes join at the end of each
+stage (the actor forwards, the target critics' forwards, the critic steps,
+the actor's backward pass, its Adam step, the policy update), also when a
+lane raises. Neither lane reads a buffer the other writes between two
+joins, each net keeps its own scratch buffers, the worker runs its jobs in
+the order they were queued, and each element sees its float operations in
+the sequential order, so every output byte of an update that returns equals
+the one-thread update's. The worker is used only when it has a core to
+itself (see _lane_pays) and the critic work reaches LANE_MIN_WORK;
+otherwise the same functions run one after the other on the caller's
+thread, in the sequential order.
 
 A diverged critic is reported only after both lanes finish, critic1 before
 critic2, with the error the one-thread update raised. By then the finite
@@ -184,12 +189,19 @@ class Td3Learner:
         hp = self.hp
         obs, actions, rewards, next_obs, terminals = batch
         b = obs.shape[0]
-        both = _both if b * self.critic1.n_params >= LANE_MIN_WORK and _lane_pays() else _inline
+        lanes = b * self.critic1.n_params >= LANE_MIN_WORK and _lane_pays()
+        both, submit = (_both, _submit) if lanes else (_inline, None)
         policy_step = (self.n_updates + 1) % hp.policy_delay == 0
 
         noise = self.update_rng.normal(0.0, hp.target_noise_sigma, size=(b, self.action_dim))
         noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
-        next_actions = np.clip(self.target_actor.forward(next_obs) + noise, -1.0, 1.0)
+        if policy_step:
+            # The actor steps only after the critics, so pi is what the
+            # one-thread update computes there.
+            next_pi, pi = both(lambda: self.target_actor.forward(next_obs), lambda: self.actor.forward(obs))
+        else:
+            next_pi = self.target_actor.forward(next_obs)
+        next_actions = np.clip(next_pi + noise, -1.0, 1.0)
 
         next_in = np.concatenate([next_obs, next_actions.astype(np.float32)], axis=1)
         q1_t, q2_t = both(lambda: self.target_critic1.forward(next_in)[:, 0],
@@ -197,15 +209,8 @@ class Td3Learner:
         y = rewards + hp.discount * (1.0 - terminals) * np.minimum(q1_t, q2_t)
 
         critic_in = np.concatenate([obs, actions], axis=1)
-
-        def critic2_lane():
-            # The actor has not stepped since its last policy update, so pi is
-            # what the caller would compute after the critic steps.
-            pi = self.actor.forward(obs) if policy_step else None
-            return _critic_step(self.critic2, self.critic2_opt, critic_in, y), pi
-
-        stats1, (stats2, pi) = both(lambda: _critic_step(self.critic1, self.critic1_opt, critic_in, y),
-                                    critic2_lane)
+        stats1, stats2 = both(lambda: _critic_step(self.critic1, self.critic1_opt, critic_in, y),
+                              lambda: _critic_step(self.critic2, self.critic2_opt, critic_in, y))
         diags = {}
         for name, (loss, q_mean) in (("critic1", stats1), ("critic2", stats2)):
             if not np.isfinite(loss):
@@ -223,10 +228,9 @@ class Td3Learner:
                 up = np.full((b, 1), -1.0 / b, dtype=np.float32)
                 _, d_in = self.critic1.backward(up, need_param_grads=False)
                 d_action = d_in[:, self.obs_dim :]
-                actor_grads, _ = self.actor.backward(d_action, need_input_grad=False)
-                self.actor_opt.step(actor_grads)
+                actor_grads, _ = self.actor.backward(d_action, need_input_grad=False, submit=submit)
+                self.actor_opt.step(actor_grads, self.target_actor, hp.polyak_tau, both)
                 diags["actor_loss"] = float(-np.mean(self.critic1._cache[-1]))
-                self.target_actor.polyak_from(self.actor, hp.polyak_tau)
 
             def critic_targets_lane():
                 self.target_critic1.polyak_from(self.critic1, hp.polyak_tau)
@@ -289,19 +293,24 @@ def _forget_worker():
     _worker = None
 
 
-def _both(mine, theirs):
-    """theirs() on the worker thread while this thread runs mine(); returns both results.
-
-    Joins before returning, also when mine() raises; an error in theirs() is
-    raised here.
-    """
+def _submit(job):
+    """Queue job() on the worker thread; returns its Future. The worker runs jobs in submission order."""
     global _worker
     if _worker is None:  # started on first use: the import alone costs ~13 ms
         from concurrent.futures import ThreadPoolExecutor
 
         _worker = ThreadPoolExecutor(max_workers=1, thread_name_prefix="td3-lane")
         os.register_at_fork(after_in_child=_forget_worker)
-    future = _worker.submit(theirs)
+    return _worker.submit(job)
+
+
+def _both(mine, theirs):
+    """theirs() on the worker thread while this thread runs mine(); returns both results.
+
+    Joins before returning, also when mine() raises; an error in theirs() is
+    raised here. mine() may submit more work: it queues behind theirs().
+    """
+    future = _submit(theirs)
     try:
         result = mine()
     finally:

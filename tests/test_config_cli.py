@@ -109,7 +109,9 @@ def _value_strategy(default):
         return st.one_of(st.integers(0, 1000), st.integers(0, 2**40))
     if isinstance(default, float):
         return st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(0.0, 1.0), st.floats(-1.0, 0.0))
-    return st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True)
+    # str: also '#', edge whitespace and line breaks, which no config line can hold.
+    return st.one_of(st.from_regex(r"[A-Za-z0-9_./-]{1,16}", fullmatch=True),
+                     st.text(alphabet="ab/_ #\t\n\r\x0b\x85\u2028", max_size=8))
 
 
 class TestConfigParsing:
@@ -223,11 +225,18 @@ class TestConfigParsing:
             value = data.draw(_value_strategy(_get(cfg, key)), label=key)
             try:
                 cfg = _with(cfg, key, value)
-            except ValueError:
-                pass  # outside the record's range: the key keeps its value
+            except ValueError as e:  # outside the record's range: the key keeps its value
+                if isinstance(value, str):  # only a value dump_config cannot write is refused
+                    assert str(e).startswith(f"{key} must be one line without '#' or edge whitespace")
+                    assert "#" in value or value != value.strip() or len(value.splitlines()) > 1
         again = parse_config_text(dump_config(cfg))
         assert again == cfg
         assert hash(again) == hash(cfg)
+
+    @pytest.mark.parametrize("value", ["runs#1", "a\nb", "a\rb", "a\u2028b"])
+    def test_str_a_config_line_cannot_hold_names_key(self, value):
+        with pytest.raises(ConfigError, match=r"^bad value for outdir: outdir must be one line"):
+            apply_item(RunConfig(), "outdir", value)
 
     @pytest.mark.parametrize("value", [7.1234567891234, 0.00012345678912, 0.1 + 0.2, 1e-310, 5e-324, -0.0, 1e300])
     def test_float_that_9g_rounds_parses_back_exactly(self, value):
@@ -389,6 +398,7 @@ class TestCliExitCodes:
         "pid.output_clamp=0.2",
         "seed=-4",
         "seed=four",
+        "outdir=runs#1",
     ])
     def test_unusable_value_is_usage_error_naming_key(self, item, capsys):
         assert main(["config-dump", "-o", item]) == 2

@@ -1,6 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import padlander.mlp as mlp
+import padlander.td3 as td3
 from padlander.mlp import CHUNK, Adam, Mlp
 
 PRODUCTION_STACKS = (
@@ -211,6 +215,12 @@ class TestBackward:
             grads, d_in = net.backward(up, need_param_grads=False)
             assert grads is None
             assert np.array_equal(d_in, ref_d_in)
+            net._grads[:] = np.nan  # the submitted jobs must write every element again
+            net.forward(x)
+            with ThreadPoolExecutor(max_workers=1) as worker:
+                grads, d_in = net.backward(up, submit=worker.submit)
+            assert np.array_equal(grads, ref_grads)
+            assert np.array_equal(d_in, ref_d_in)
 
     def test_backward_requires_forward(self):
         net = Mlp([2, 2])
@@ -260,6 +270,27 @@ class TestAdamAndPolyak:
             expected = target.flat * (np.float32(1.0) - tau) + tau * online.flat
             target.polyak_from(online, 0.005)
             assert np.array_equal(target.flat, expected)
+
+    @pytest.mark.parametrize("n_chunks", [1, 2, 7])
+    @pytest.mark.parametrize("lanes", [None, td3._inline, td3._both], ids=["one-lane", "inline", "both"])
+    def test_adam_with_target_equals_step_then_polyak(self, monkeypatch, n_chunks, lanes):
+        monkeypatch.setattr(mlp, "CHUNK", 64)
+        rng = np.random.default_rng(11)
+        n = 64 * (n_chunks - 1) + 37  # the last chunk is short
+        online = Mlp([n - 1, 1], "linear", rng)
+        target = online.copy()
+        target.flat[:] = rng.normal(size=n).astype(np.float32)
+        ref_online, ref_target = online.copy(), target.copy()
+        opt, ref_opt = Adam(online.flat, 1e-3), Adam(ref_online.flat, 1e-3)
+        for _ in range(3):
+            g = rng.normal(size=n).astype(np.float32)
+            opt.step(g, target, 0.005, lanes)
+            ref_opt.step(g)
+            ref_target.polyak_from(ref_online, 0.005)
+        pairs = (online.flat, ref_online.flat), (target.flat, ref_target.flat), (opt.m, ref_opt.m), (opt.v, ref_opt.v)
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+        assert opt.t == ref_opt.t == 3
 
     def test_copy_is_independent(self):
         net = Mlp([3, 4, 1])

@@ -1,4 +1,4 @@
-"""Td3Learner.update with its critic2 lane on the worker thread equals the sequential update, bit for bit."""
+"""Td3Learner.update with its work split over the worker lane equals the sequential update, bit for bit."""
 
 import glob
 import multiprocessing
@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import padlander.mlp as mlp
 import padlander.td3 as td3
 from padlander.td3 import Td3Hyperparams, Td3Learner, TrainingDivergedError
 
@@ -84,26 +85,32 @@ def state_bytes(learner: Td3Learner):
             learner.n_updates, learner.update_rng.bit_generator.state)
 
 
-def critic2_threads(learner: Td3Learner):
-    """Record the thread of every critic2 forward; the float operations are untouched."""
-    seen, forward = [], learner.critic2.forward
+def call_threads(net, method: str):
+    """Record the thread of every call to net.<method>; the float operations are untouched."""
+    seen, original = [], getattr(net, method)
 
-    def recording(x):
+    def recording(*args, **kwargs):
         seen.append(threading.get_ident())
-        return forward(x)
+        return original(*args, **kwargs)
 
-    learner.critic2.forward = recording
+    setattr(net, method, recording)
     return seen
 
 
 def assert_lanes_match_sequential(hp: Td3Hyperparams, n: int):
     lanes, reference = Td3Learner(hp, seed=3), Td3Learner(hp, seed=3)
-    threads = critic2_threads(lanes)
+    critic2 = call_threads(lanes.critic2, "forward")
+    pi = call_threads(lanes.actor, "forward")  # the update's only actor forward
+    actor_grads = call_threads(lanes.actor, "_param_grads")
     for batch in batches(hp, n):
         got, want = lanes.update(batch), sequential_update(reference, batch)
         assert list(got.items()) == list(want.items())
     assert state_bytes(lanes) == state_bytes(reference)
-    assert threads and threading.get_ident() not in threads  # critic2 ran on the worker lane
+    # critic2, pi and the actor's weight-gradient products ran on the worker lane.
+    policy_steps = n // hp.policy_delay
+    assert policy_steps and len(critic2) == n
+    assert len(pi) == policy_steps and len(actor_grads) == policy_steps * lanes.actor.n_layers
+    assert threading.get_ident() not in critic2 + pi + actor_grads
 
 
 @pytest.fixture
@@ -124,12 +131,17 @@ def fast_switching():
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("chunk", [mlp.CHUNK, 64])
 @pytest.mark.parametrize("policy_delay", [1, 2, 3])
-def test_lanes_equal_sequential_update(always_lane, fast_switching, policy_delay):
+def test_lanes_equal_sequential_update(always_lane, fast_switching, monkeypatch, policy_delay, chunk):
+    # With 64-element chunks the actor's 579 parameters make 10 Adam chunks:
+    # 5 on each lane, the worker's last one short.
+    monkeypatch.setattr(mlp, "CHUNK", chunk)
     assert_lanes_match_sequential(Td3Hyperparams(**SMALL, policy_delay=policy_delay), 7)
 
 
-def test_learners_on_three_threads_share_the_worker(always_lane, fast_switching):
+def test_learners_on_three_threads_share_the_worker(always_lane, fast_switching, monkeypatch):
+    monkeypatch.setattr(mlp, "CHUNK", 64)  # each actor Adam step puts chunks on both lanes
     results = []
 
     def run():
@@ -152,17 +164,18 @@ def test_default_dims_use_the_lane_and_equal_sequential_update(monkeypatch):
     monkeypatch.setattr(td3, "_lane_pays", lambda: True)
     hp = Td3Hyperparams()
     assert hp.batch_size * Td3Learner(hp).critic1.n_params >= td3.LANE_MIN_WORK
-    assert_lanes_match_sequential(hp, 3)
+    assert_lanes_match_sequential(hp, 4)  # two policy steps
 
 
 @pytest.mark.parametrize("min_work, pays", [(td3.LANE_MIN_WORK, True), (0, False)])
 def test_small_nets_or_no_spare_core_run_inline(monkeypatch, min_work, pays):
     monkeypatch.setattr(td3, "LANE_MIN_WORK", min_work)
     monkeypatch.setattr(td3, "_lane_pays", lambda: pays)
-    learner = Td3Learner(Td3Hyperparams(**SMALL), seed=3)
-    threads = critic2_threads(learner)
+    learner = Td3Learner(Td3Hyperparams(**SMALL, policy_delay=1), seed=3)
+    threads = [call_threads(learner.critic2, "forward"), call_threads(learner.actor, "forward"),
+               call_threads(learner.actor, "_param_grads")]
     learner.update(batches(learner.hp, 1)[0])
-    assert threads == [threading.get_ident()]
+    assert threads == [[threading.get_ident()] * n for n in (1, 1, learner.actor.n_layers)]
 
 
 LANE_PAYS = """
@@ -200,6 +213,34 @@ def test_divergence_raises_after_both_lanes_with_the_sequential_error(always_lan
     for name in ("critic1", "critic2"):
         assert getattr(learner, f"{name}_opt").t == (0 if name in poisoned else 1)
     assert learner.n_updates == 0
+    # The worker holds no pending work: the next update, on a fresh learner, is the reference's.
+    assert_lanes_match_sequential(hp, 1)
+
+
+def test_weight_gradient_error_raises_after_every_worker_job(always_lane, monkeypatch):
+    hp = Td3Hyperparams(**SMALL, policy_delay=1)
+    learner = Td3Learner(hp, seed=3)
+    submitted, submit = [], td3._submit
+
+    def recording_submit(job):
+        submitted.append(submit(job))
+        return submitted[-1]
+
+    monkeypatch.setattr(td3, "_submit", recording_submit)
+    finished, param_grads = [], learner.actor._param_grads
+
+    def last_layer_fails(i, h, delta):
+        if i == learner.actor.n_layers - 1:  # the first job backward() submits
+            raise FloatingPointError("weight-gradient job")
+        time.sleep(0.05)  # the jobs queued behind it are still running when it fails
+        param_grads(i, h, delta)
+        finished.append(i)
+
+    learner.actor._param_grads = last_layer_fails
+    with pytest.raises(FloatingPointError, match="weight-gradient job"):
+        learner.update(batches(hp, 1)[0])
+    assert finished == list(range(learner.actor.n_layers - 2, -1, -1))
+    assert submitted and all(future.done() for future in submitted)
     # The worker holds no pending work: the next update, on a fresh learner, is the reference's.
     assert_lanes_match_sequential(hp, 1)
 
