@@ -116,7 +116,6 @@ def cmd_benchmark(args) -> int:
         scenarios,
         controllers,
         trials_per_scenario=args.trials,
-        wind=cfg.env.wind_enabled,
         seed=cfg.seed,
         learner=learner,
         env_cfg=cfg.env,

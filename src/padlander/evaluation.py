@@ -147,7 +147,7 @@ def run_benchmark(
     scenarios: Sequence[ScenarioKind],
     controllers: Sequence[Controller],
     trials_per_scenario: int = 10,
-    wind: bool = False,
+    wind: Optional[bool] = None,
     seed: int = 0,
     learner: Optional[Td3Learner] = None,
     env_cfg: Optional[EnvConfig] = None,
@@ -164,13 +164,19 @@ def run_benchmark(
     episode starts from a fresh PidState. drone_params and scenario_params
     (default DroneParams() and ScenarioSpec defaults) shape every env; the
     spec's kind is replaced by each scenario in turn, and its seed by the
-    per-episode seed drawn at reset. wind replaces env_cfg.wind_enabled.
+    per-episode seed drawn at reset. wind (default env_cfg.wind_enabled)
+    sets the default EnvConfig's wind; with env_cfg it must agree with
+    env_cfg.wind_enabled.
     """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
     if Controller.AGENT in controllers and learner is None:
         raise ValueError("agent benchmark requires a learner/checkpoint")
-    env_cfg = replace(env_cfg or EnvConfig(), wind_enabled=wind)
+    if env_cfg is None:
+        env_cfg = EnvConfig() if wind is None else EnvConfig(wind_enabled=wind)
+    elif wind is not None and wind != env_cfg.wind_enabled:
+        raise ValueError(f"wind={wind} contradicts env_cfg.wind_enabled={env_cfg.wind_enabled}")
+    wind = env_cfg.wind_enabled
     pid = pid or PidController()
     scenario_params = scenario_params or ScenarioSpec(ScenarioKind.SPL)
     report = BenchmarkReport()

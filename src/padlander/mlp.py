@@ -29,6 +29,7 @@ verification against finite differences.
 """
 
 import functools
+import itertools
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,11 +45,6 @@ CHUNK = 1 << 16
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-def _chunks(lo: int, hi: int):
-    for start in range(lo, hi, CHUNK):
-        yield slice(start, min(start + CHUNK, hi))
 
 
 def _polyak_chunk(target: np.ndarray, online: np.ndarray, tau: float, s: np.ndarray) -> None:
@@ -217,10 +213,15 @@ class Mlp:
         return clone
 
     def polyak_from(self, online: "Mlp", tau: float) -> None:
-        """target <- tau * online + (1 - tau) * target, in place."""
+        """target <- tau * online + (1 - tau) * target, in place.
+
+        No update calls it (Td3Learner.update fuses it into Adam.step); it
+        stays as the tests' sequential reference and perfbench's traced span.
+        """
         if self._scratch is None:
             self._scratch = np.empty(min(CHUNK, self.n_params), self.dtype)
-        for c in _chunks(0, self.n_params):
+        for start in range(0, self.n_params, CHUNK):
+            c = slice(start, min(start + CHUNK, self.n_params))
             _polyak_chunk(self.flat[c], online.flat[c], tau, self._scratch[: c.stop - c.start])
 
 
@@ -245,9 +246,10 @@ class Adam:
         element sees the float operations of step() followed by polyak_from()
         in the same order. Given both (td3's two-lane runner: both(mine,
         theirs) runs the two thunks and returns once both have finished),
-        this thread steps the first half of the chunks and the other lane
-        the rest, which holds the short last chunk; each lane has its own
-        scratch chunk.
+        the two lanes claim chunks from one shared counter, each lane with
+        its own scratch chunk, until none is left: a lane that starts late,
+        still busy with earlier work, steps few chunks or none, and when
+        both runs mine() first on this thread it steps every chunk in order.
         """
         if flat_grads.shape != self.params.shape:
             raise ValueError("gradient buffer does not match parameter buffer")
@@ -259,9 +261,14 @@ class Adam:
         beta1, one_m_beta1 = dt(ADAM_BETA1), dt(1.0 - ADAM_BETA1)
         beta2, one_m_beta2 = dt(ADAM_BETA2), dt(1.0 - ADAM_BETA2)
         inv_b2t, eps, step = dt(1.0 / b2t), dt(ADAM_EPS), dt(self.lr / b1t)
+        n = self.params.size
+        starts = itertools.count(0, CHUNK)  # next() on it is atomic under the GIL: each start goes to one lane
 
-        def run(lo: int, hi: int, scratch: np.ndarray) -> None:
-            for c in _chunks(lo, hi):
+        def run(scratch: np.ndarray) -> None:
+            for start in starts:
+                if start >= n:
+                    return
+                c = slice(start, min(start + CHUNK, n))
                 m, v, gc, p = self.m[c], self.v[c], g[c], self.params[c]
                 s = scratch[: c.stop - c.start]
                 m *= beta1
@@ -280,11 +287,9 @@ class Adam:
                 if target is not None:
                     _polyak_chunk(target.flat[c], p, tau, s)
 
-        n = self.params.size
         if both is None:
-            run(0, n, self._scratch)
+            run(self._scratch)
             return
         if self._worker_scratch is None:
             self._worker_scratch = np.empty_like(self._scratch)
-        mid = CHUNK * ((n + CHUNK - 1) // CHUNK // 2)  # this thread's chunks: half of them, rounded down
-        both(lambda: run(0, mid, self._scratch), lambda: run(mid, n, self._worker_scratch))
+        both(lambda: run(self._scratch), lambda: run(self._worker_scratch))

@@ -7,29 +7,37 @@ toward their online twins. Replay is a uniform ring buffer.
 
 An update runs in two lanes: the caller's thread and one long-lived worker
 thread. The caller draws the target noise (the update's only RNG use) and
-owns the target actor's forward, target_critic1, critic1 and the actor's
-delta chain. The worker owns the target_critic2 forward and critic2's
-forward, backward and Adam step. A policy update gives the worker more: the
-pi = actor(obs) forward beside the target actor's (the actor steps only
-after the critics), the target critics' Polyak updates, each actor layer's
-weight-gradient product and bias sum as soon as the caller has that layer's
-delta, and half of the actor's Adam chunks, each fused with the target
-actor's Polyak update of that chunk. The lanes join at the end of each
-stage (the actor forwards, the target critics' forwards, the critic steps,
-the actor's backward pass, its Adam step, the policy update), also when a
-lane raises. Neither lane reads a buffer the other writes between two
-joins, each net keeps its own scratch buffers, the worker runs its jobs in
-the order they were queued, and each element sees its float operations in
-the sequential order, so every output byte of an update that returns equals
-the one-thread update's. The worker is used only when it has a core to
-itself (see _lane_pays) and the critic work reaches LANE_MIN_WORK;
-otherwise the same functions run one after the other on the caller's
-thread, in the sequential order.
+owns the target actor's forward, target_critic1 and critic1's forward and
+backward. The worker owns the target_critic2 forward and critic2's forward
+and backward, and runs beside the target actor the forward that needs no
+target value: critic2's on a plain update, pi = actor(obs) on a policy
+update (the actor steps only after the critics). Each Adam step given both
+lanes lets them claim its chunks from one counter, so the worker steps
+critic1's chunks left over once critic2's work is done. A plain update
+steps critic2 on the worker in the critic stage. A policy update fuses each
+target's Polyak update into its online net's Adam step (a target is not
+read after the target stage) and leaves critic2's step for the actor
+phase, where it is the worker's first job, ahead of each actor layer's
+weight-gradient product and bias sum, which the worker takes as soon as the
+caller's delta chain has that layer's delta. The lanes join at the end of each stage (the first
+forwards, the target critics' forwards, the critic steps, the actor's
+backward pass, its Adam step, the policy update), also when a lane raises.
+Neither lane reads a buffer the other writes between two joins, each net
+and each lane of an Adam step keeps its own scratch buffers, the worker
+runs its jobs in the order they were queued, and each element sees its
+float operations in the sequential order, so every output byte of an
+update that returns equals the one-thread update's. The worker is used
+only when it has a core to itself (see _lane_pays) and the critic work
+reaches LANE_MIN_WORK; otherwise the same functions run one after the
+other on the caller's thread, in the sequential order.
 
-A diverged critic is reported only after both lanes finish, critic1 before
-critic2, with the error the one-thread update raised. By then the finite
-critic has taken its step, which the one-thread update did not do when
-critic1 diverged, so a learner that raised TrainingDivergedError is not the
+A diverged critic is reported only after both lanes finish the critic
+stage, critic1 before critic2, with the error the one-thread update raised.
+By then a finite critic1 has taken its step (on a policy update with
+target_critic1's Polyak update fused in), and a finite critic2 has taken
+its step on a plain update but not on a policy update. The one-thread
+update raised before critic2's step when critic1 diverged, and before any
+Polyak update, so a learner that raised TrainingDivergedError is not the
 one-thread update's and must not be checkpointed or trained further.
 
 Checkpoints are an ASCII text header (format version, layer dims,
@@ -195,12 +203,11 @@ class Td3Learner:
 
         noise = self.update_rng.normal(0.0, hp.target_noise_sigma, size=(b, self.action_dim))
         noise = np.clip(noise, -hp.target_noise_clip, hp.target_noise_clip)
-        if policy_step:
-            # The actor steps only after the critics, so pi is what the
-            # one-thread update computes there.
-            next_pi, pi = both(lambda: self.target_actor.forward(next_obs), lambda: self.actor.forward(obs))
-        else:
-            next_pi = self.target_actor.forward(next_obs)
+        critic_in = np.concatenate([obs, actions], axis=1)
+        # Beside the target actor runs a forward that needs no target value:
+        # pi on a policy update (the actor steps only after the critics), else critic2's.
+        early = (lambda: self.actor.forward(obs)) if policy_step else (lambda: self.critic2.forward(critic_in)[:, 0])
+        next_pi, pi_or_q2 = both(lambda: self.target_actor.forward(next_obs), early)
         next_actions = np.clip(next_pi + noise, -1.0, 1.0)
 
         next_in = np.concatenate([next_obs, next_actions.astype(np.float32)], axis=1)
@@ -208,21 +215,33 @@ class Td3Learner:
                           lambda: self.target_critic2.forward(next_in)[:, 0])
         y = rewards + hp.discount * (1.0 - terminals) * np.minimum(q1_t, q2_t)
 
-        critic_in = np.concatenate([obs, actions], axis=1)
-        stats1, stats2 = both(lambda: _critic_step(self.critic1, self.critic1_opt, critic_in, y),
-                              lambda: _critic_step(self.critic2, self.critic2_opt, critic_in, y))
+        def critic1_lane():
+            q = self.critic1.forward(critic_in)[:, 0]
+            loss, grads = _critic_grads(self.critic1, q, y)
+            if grads is not None:  # target_critic1 is not read again in this update
+                self.critic1_opt.step(grads, self.target_critic1 if policy_step else None, hp.polyak_tau, both)
+            return loss, q
+
+        def critic2_lane():
+            q = self.critic2.forward(critic_in)[:, 0] if policy_step else pi_or_q2
+            loss, grads = _critic_grads(self.critic2, q, y)
+            if grads is not None and not policy_step:  # a policy update steps critic2 in its actor phase
+                self.critic2_opt.step(grads)
+            return loss, q, grads
+
+        (loss1, q1), (loss2, q2, grads2) = both(critic1_lane, critic2_lane)
         diags = {}
-        for name, (loss, q_mean) in (("critic1", stats1), ("critic2", stats2)):
+        for name, loss, q in (("critic1", loss1, q1), ("critic2", loss2, q2)):
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"{name} loss non-finite at update {self.n_updates}")
             diags[f"{name}_loss"] = loss
-            diags[f"{name}_q_mean"] = q_mean
+            diags[f"{name}_q_mean"] = float(np.mean(q))
 
         self.n_updates += 1
         if policy_step:
 
             def actor_lane():
-                actor_in = np.concatenate([obs, pi.astype(np.float32)], axis=1)
+                actor_in = np.concatenate([obs, pi_or_q2.astype(np.float32)], axis=1)
                 self.critic1.forward(actor_in)
                 # Ascend Q1: minimize -mean(Q1(s, pi(s))). Only dQ1/da is needed.
                 up = np.full((b, 1), -1.0 / b, dtype=np.float32)
@@ -232,27 +251,23 @@ class Td3Learner:
                 self.actor_opt.step(actor_grads, self.target_actor, hp.polyak_tau, both)
                 diags["actor_loss"] = float(-np.mean(self.critic1._cache[-1]))
 
-            def critic_targets_lane():
-                self.target_critic1.polyak_from(self.critic1, hp.polyak_tau)
-                self.target_critic2.polyak_from(self.critic2, hp.polyak_tau)
-
-            both(actor_lane, critic_targets_lane)
+            # critic2's step fills the worker's wait for the actor's first delta; the actor step never reads critic2.
+            both(actor_lane, lambda: self.critic2_opt.step(grads2, self.target_critic2, hp.polyak_tau))
         return diags
 
 
-def _critic_step(critic: Mlp, opt: Adam, critic_in, y):
-    """Regress critic toward y with one Adam step; returns (loss, mean Q).
+def _critic_grads(critic: Mlp, q, y):
+    """critic's squared-error loss against y and its gradients, from the forward() that gave q.
 
-    A non-finite loss skips the step and is returned for the caller to raise,
-    so that it is raised only after both lanes have finished.
+    A non-finite loss returns no gradients, for the caller to raise once
+    both lanes have finished.
     """
-    q = critic.forward(critic_in)[:, 0]
     err = q - y
     loss = float(np.mean(err**2))
-    if np.isfinite(loss):
-        grads, _ = critic.backward((2.0 * err / err.shape[0])[:, None], need_input_grad=False)
-        opt.step(grads)
-    return loss, float(np.mean(q))
+    if not np.isfinite(loss):
+        return loss, None
+    grads, _ = critic.backward((2.0 * err / err.shape[0])[:, None], need_input_grad=False)
+    return loss, grads
 
 
 @functools.cache

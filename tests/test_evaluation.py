@@ -3,7 +3,7 @@ import pytest
 
 from padlander import baseline, evaluation
 from padlander.baseline import FilterDivergenceError
-from padlander.environment import Terminal
+from padlander.environment import EnvConfig, Terminal
 from padlander.evaluation import (
     BenchmarkReport,
     Controller,
@@ -119,6 +119,24 @@ class TestRunBenchmark:
         b = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=3, wind=True, seed=9)
         assert report_csv(a) == report_csv(b)
         assert trials_csv(a) == trials_csv(b)
+
+    @pytest.mark.parametrize("wind, env_cfg, windy", [
+        (None, None, True),  # EnvConfig's default
+        (False, None, False),
+        (None, EnvConfig(wind_enabled=True), True),
+        (None, EnvConfig(wind_enabled=False), False),
+        (True, EnvConfig(wind_enabled=True), True),
+    ])
+    def test_wind_defaults_to_env_cfg(self, wind, env_cfg, windy):
+        r = run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=2, wind=wind, seed=0,
+                          env_cfg=env_cfg)
+        assert [t.wind_enabled for t in r.trials] == [windy, windy]
+
+    @pytest.mark.parametrize("wind", [True, False])
+    def test_wind_contradicting_env_cfg_rejected(self, wind):
+        with pytest.raises(ValueError, match=f"^wind={wind} contradicts env_cfg.wind_enabled={not wind}$"):
+            run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=1, wind=wind,
+                          env_cfg=EnvConfig(wind_enabled=not wind))
 
     def test_agent_without_learner_rejected(self):
         with pytest.raises(ValueError):

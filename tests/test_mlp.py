@@ -1,3 +1,5 @@
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -11,6 +13,12 @@ PRODUCTION_STACKS = (
     ([18, 512, 512, 256, 128, 1], "linear"),
     ([15, 512, 512, 256, 128, 3], "tanh"),
 )
+
+
+def theirs_first(mine, theirs):
+    """A two-lane runner on one thread that runs theirs() to completion before mine()."""
+    other = theirs()
+    return mine(), other
 
 
 def finite_difference_grads(net, x, upstream, h):
@@ -272,8 +280,10 @@ class TestAdamAndPolyak:
             assert np.array_equal(target.flat, expected)
 
     @pytest.mark.parametrize("n_chunks", [1, 2, 7])
-    @pytest.mark.parametrize("lanes", [None, td3._inline, td3._both], ids=["one-lane", "inline", "both"])
-    def test_adam_with_target_equals_step_then_polyak(self, monkeypatch, n_chunks, lanes):
+    @pytest.mark.parametrize("lanes, lane", [(None, "mine"), (td3._inline, "mine"), (theirs_first, "theirs"),
+                                             (td3._both, None)], ids=["one-lane", "inline", "theirs-first", "both"])
+    def test_adam_with_target_equals_step_then_polyak(self, monkeypatch, n_chunks, lanes, lane):
+        # lane: the one lane that claims every chunk, or None when two threads share them.
         monkeypatch.setattr(mlp, "CHUNK", 64)
         rng = np.random.default_rng(11)
         n = 64 * (n_chunks - 1) + 37  # the last chunk is short
@@ -282,11 +292,38 @@ class TestAdamAndPolyak:
         target.flat[:] = rng.normal(size=n).astype(np.float32)
         ref_online, ref_target = online.copy(), target.copy()
         opt, ref_opt = Adam(online.flat, 1e-3), Adam(ref_online.flat, 1e-3)
-        for _ in range(3):
-            g = rng.normal(size=n).astype(np.float32)
-            opt.step(g, target, 0.005, lanes)
-            ref_opt.step(g)
-            ref_target.polyak_from(ref_online, 0.005)
+        ran, current = [], threading.local()  # (lane, first element) of each chunk the fused pass stepped
+        polyak_chunk = mlp._polyak_chunk
+
+        def recording_polyak_chunk(target_chunk, online_chunk, tau, s):
+            offset = (target_chunk.ctypes.data - target.flat.ctypes.data) // target.flat.itemsize
+            if 0 <= offset < n:  # not the reference's polyak_from
+                ran.append((getattr(current, "lane", "mine"), offset))
+            polyak_chunk(target_chunk, online_chunk, tau, s)
+
+        def labelled(name, thunk):
+            def run():
+                current.lane = name
+                return thunk()
+            return run
+
+        monkeypatch.setattr(mlp, "_polyak_chunk", recording_polyak_chunk)
+        both = lanes and (lambda mine, theirs: lanes(labelled("mine", mine), labelled("theirs", theirs)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # two threads interleave as finely as they can
+        try:
+            for _ in range(3):
+                ran.clear()
+                g = rng.normal(size=n).astype(np.float32)
+                opt.step(g, target, 0.005, both)
+                ref_opt.step(g)
+                ref_target.polyak_from(ref_online, 0.005)
+                # Every chunk ran exactly once; a lane that owns the step ran them all, in order.
+                assert sorted(offset for _, offset in ran) == list(range(0, n, 64))
+                if lane is not None:
+                    assert ran == [(lane, offset) for offset in range(0, n, 64)]
+        finally:
+            sys.setswitchinterval(interval)
         pairs = (online.flat, ref_online.flat), (target.flat, ref_target.flat), (opt.m, ref_opt.m), (opt.v, ref_opt.v)
         for got, want in pairs:
             assert got.tobytes() == want.tobytes()

@@ -100,17 +100,21 @@ def call_threads(net, method: str):
 def assert_lanes_match_sequential(hp: Td3Hyperparams, n: int):
     lanes, reference = Td3Learner(hp, seed=3), Td3Learner(hp, seed=3)
     critic2 = call_threads(lanes.critic2, "forward")
+    critic2_step = call_threads(lanes.critic2_opt, "step")
     pi = call_threads(lanes.actor, "forward")  # the update's only actor forward
     actor_grads = call_threads(lanes.actor, "_param_grads")
+    polyaks = [call_threads(getattr(lanes, name), "polyak_from") for name in td3._NETS[3:]]
     for batch in batches(hp, n):
         got, want = lanes.update(batch), sequential_update(reference, batch)
         assert list(got.items()) == list(want.items())
     assert state_bytes(lanes) == state_bytes(reference)
-    # critic2, pi and the actor's weight-gradient products ran on the worker lane.
+    # critic2's forward and Adam step, pi and the actor's weight-gradient products ran on the worker lane.
     policy_steps = n // hp.policy_delay
-    assert policy_steps and len(critic2) == n
+    assert policy_steps and len(critic2) == len(critic2_step) == n
     assert len(pi) == policy_steps and len(actor_grads) == policy_steps * lanes.actor.n_layers
-    assert threading.get_ident() not in critic2 + pi + actor_grads
+    assert threading.get_ident() not in critic2 + critic2_step + pi + actor_grads
+    # Every target's Polyak update is fused into its online net's Adam step.
+    assert polyaks == [[], [], []]
 
 
 @pytest.fixture
@@ -134,14 +138,14 @@ def fast_switching():
 @pytest.mark.parametrize("chunk", [mlp.CHUNK, 64])
 @pytest.mark.parametrize("policy_delay", [1, 2, 3])
 def test_lanes_equal_sequential_update(always_lane, fast_switching, monkeypatch, policy_delay, chunk):
-    # With 64-element chunks the actor's 579 parameters make 10 Adam chunks:
-    # 5 on each lane, the worker's last one short.
+    # With 64-element chunks the actor's 579 parameters make 10 Adam chunks,
+    # the last one short, that the two lanes claim.
     monkeypatch.setattr(mlp, "CHUNK", chunk)
     assert_lanes_match_sequential(Td3Hyperparams(**SMALL, policy_delay=policy_delay), 7)
 
 
 def test_learners_on_three_threads_share_the_worker(always_lane, fast_switching, monkeypatch):
-    monkeypatch.setattr(mlp, "CHUNK", 64)  # each actor Adam step puts chunks on both lanes
+    monkeypatch.setattr(mlp, "CHUNK", 64)  # every Adam step has chunks for both lanes to claim
     results = []
 
     def run():
@@ -172,10 +176,10 @@ def test_small_nets_or_no_spare_core_run_inline(monkeypatch, min_work, pays):
     monkeypatch.setattr(td3, "LANE_MIN_WORK", min_work)
     monkeypatch.setattr(td3, "_lane_pays", lambda: pays)
     learner = Td3Learner(Td3Hyperparams(**SMALL, policy_delay=1), seed=3)
-    threads = [call_threads(learner.critic2, "forward"), call_threads(learner.actor, "forward"),
-               call_threads(learner.actor, "_param_grads")]
+    threads = [call_threads(learner.critic2, "forward"), call_threads(learner.critic2_opt, "step"),
+               call_threads(learner.actor, "forward"), call_threads(learner.actor, "_param_grads")]
     learner.update(batches(learner.hp, 1)[0])
-    assert threads == [[threading.get_ident()] * n for n in (1, 1, learner.actor.n_layers)]
+    assert threads == [[threading.get_ident()] * n for n in (1, 1, 1, learner.actor.n_layers)]
 
 
 LANE_PAYS = """
@@ -198,23 +202,27 @@ def test_lane_pays_only_with_one_blas_thread_and_two_cpus(blas_threads, pays):
     assert out.stdout.split() == [pays, "False"]
 
 
-@pytest.mark.parametrize("poisoned, named", [
-    (("critic2",), "critic2"),
-    (("critic1", "critic2"), "critic1"),
+@pytest.mark.parametrize("poisoned, named, policy_delay, adam_t", [
+    (("critic2",), "critic2", 1, (0, 1, 0)),
+    (("critic1", "critic2"), "critic1", 1, (0, 0, 0)),
+    # critic2 steps in a policy update's actor phase, which the raise skips, and in a plain update's critic stage.
+    (("critic1",), "critic1", 1, (0, 0, 0)),
+    (("critic1",), "critic1", 2, (0, 0, 1)),
 ])
-def test_divergence_raises_after_both_lanes_with_the_sequential_error(always_lane, poisoned, named):
-    hp = Td3Hyperparams(**SMALL, policy_delay=1)
+def test_divergence_raises_after_both_lanes_with_the_sequential_error(always_lane, poisoned, named, policy_delay,
+                                                                      adam_t):
+    hp = Td3Hyperparams(**SMALL, policy_delay=policy_delay)
     learner = Td3Learner(hp, seed=3)
     for name in poisoned:
         getattr(learner, name).flat[0] = np.nan
     with pytest.raises(TrainingDivergedError, match=f"^{named} loss non-finite at update 0$"):
         learner.update(batches(hp, 1)[0])
-    # Each lane finished before the raise: a finite critic took its step, a diverged one none.
-    for name in ("critic1", "critic2"):
-        assert getattr(learner, f"{name}_opt").t == (0 if name in poisoned else 1)
+    # Each lane finished before the raise: a finite critic took its step unless a policy update
+    # holds it for the actor phase; a diverged one took none.
+    assert (learner.actor_opt.t, learner.critic1_opt.t, learner.critic2_opt.t) == adam_t
     assert learner.n_updates == 0
     # The worker holds no pending work: the next update, on a fresh learner, is the reference's.
-    assert_lanes_match_sequential(hp, 1)
+    assert_lanes_match_sequential(hp, policy_delay)
 
 
 def test_weight_gradient_error_raises_after_every_worker_job(always_lane, monkeypatch):
