@@ -9,8 +9,11 @@ channel as the learned agent (per-axis |delta| <= 0.1 m).
 With a linear transition and observation model the filter is the plain
 Kalman special case; the "extended" naming of the source design is kept.
 With constant Q and R its covariance/gain sequence does not depend on the
-data, so a KalmanModel computes it once per distinct covariance and every
-later episode reuses it; only the state estimate x is computed per step.
+data. A KalmanModel caches its predict and its update step, each in a
+functools.lru_cache keyed by the bytes of the input covariance, so every
+later episode reuses the sequence and only the state estimate x is computed
+per step. Each cache holds at most KALMAN_MEMO_ENTRIES results and evicts the
+least recently used one past that bound.
 
 As in the environment, the guidance and PID 3-vector math runs on Python
 floats read with tolist(), and an array is built once, where a record or a
@@ -36,9 +39,10 @@ class FilterDivergenceError(RuntimeError):
     """Covariance non-finite, or innovation covariance numerically singular."""
 
 
-# Bound on the covariances one KalmanModel stores. From P0 = I the filter
-# visits 1055 distinct (predicted and updated) covariances at the default
-# 30 Hz before the recursion repeats, 2070 at 60 Hz and 7904 at 240 Hz.
+# Bound on the results each of a KalmanModel's two caches holds; past it the
+# least recently used result is evicted. From P0 = I the recursion repeats
+# after 527 distinct inputs per step at the default 30 Hz, 1035 at 60 Hz and
+# 3952 at 240 Hz, the highest control rate.
 KALMAN_MEMO_ENTRIES = 8192
 
 
@@ -54,62 +58,46 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-class _Covariance:
-    """One stored covariance and what predict and update make of it."""
-
-    __slots__ = ("P", "predicted", "updated", "gain")
-
-    def __init__(self, key: bytes):
-        self.P = np.ndarray((6, 6), buffer=key)  # read-only, shares the key's bytes
-        self.predicted = self.updated = self.gain = None
-
-
 @dataclass(frozen=True, eq=False)
 class KalmanModel:
     """Read-only A (6x6 transition), Q (6x6 process noise), R (3x3 measurement noise).
 
     The covariance recursion never reads x or a measurement, so every episode
-    under one model repeats the same P and K sequence. The model memoizes it,
-    keyed by the exact bytes of the input P: a miss runs the full computation
-    with every check, a hit returns the stored arrays. Only covariances that
-    passed every check are stored, and stored arrays are read-only.
+    under one model repeats the same P and K sequence. Each of the two steps is
+    a pure function of the exact bytes of its input P, cached per model with
+    functools.lru_cache: a miss runs the full computation with every check, a
+    hit returns the stored read-only arrays. A step that raises stores nothing,
+    so update raises on a non-finite P at every call; predict stores whatever
+    it computes, the non-finite result of a non-finite P included.
     """
 
     A: np.ndarray
     Q: np.ndarray
     R: np.ndarray
-    _covariances: dict = field(default_factory=dict, init=False, repr=False)  # P bytes -> _Covariance
 
     def __post_init__(self):
         for name in ("A", "Q", "R"):
             object.__setattr__(self, name, _read_only(np.array(getattr(self, name), dtype=float)))
-
-    def _entry(self, P: np.ndarray) -> Optional[_Covariance]:
-        """The stored entry for P, added if the memo has room."""
-        key = P.tobytes()
-        c = self._covariances.get(key)
-        if c is None and len(self._covariances) < KALMAN_MEMO_ENTRIES:
-            c = self._covariances[key] = _Covariance(key)
-        return c
+        # Each cache shadows the method of its name on this instance. It is built
+        # here, not at import, so a model reads the bound in force when it is made.
+        for name in ("_predicted", "_updated"):
+            object.__setattr__(self, name, lru_cache(maxsize=KALMAN_MEMO_ENTRIES)(getattr(self, name)))
 
     def predicted_covariance(self, P: np.ndarray) -> np.ndarray:
         """APA' + Q, symmetrized."""
-        c = self._covariances.get(P.tobytes())
-        if c is not None and c.predicted is not None:
-            return c.predicted.P
-        p = self.A @ P @ self.A.T + self.Q
-        p = 0.5 * (p + p.T)
-        if np.isfinite(p).all():
-            c, nxt = self._entry(P), self._entry(p)
-            if c and nxt:
-                c.predicted = nxt
-        return p
+        return self._predicted(P.tobytes())
 
     def updated_covariance_and_gain(self, P: np.ndarray):
         """(P', K) for a position measurement; with H = [I 0], H P H' and P H' are slices."""
-        c = self._covariances.get(P.tobytes())
-        if c is not None and c.updated is not None:
-            return c.updated.P, c.gain
+        return self._updated(P.tobytes())
+
+    def _predicted(self, key: bytes) -> np.ndarray:
+        P = np.frombuffer(key).reshape(6, 6)
+        p = self.A @ P @ self.A.T + self.Q
+        return _read_only(0.5 * (p + p.T))
+
+    def _updated(self, key: bytes):
+        P = np.frombuffer(key).reshape(6, 6)
         if not np.isfinite(P).all():
             raise FilterDivergenceError("EKF covariance P is not finite")
         s = P[:3, :3] + self.R
@@ -122,11 +110,7 @@ class KalmanModel:
         i_kh = np.eye(6)
         i_kh[:, :3] -= k
         p = i_kh @ P
-        p = 0.5 * (p + p.T)
-        c, nxt = self._entry(P), self._entry(p)
-        if c and nxt:
-            c.updated, c.gain = nxt, k
-        return p, k
+        return _read_only(0.5 * (p + p.T)), k
 
 
 @lru_cache(maxsize=4)  # a run uses one model; the rest serve tests that alternate a few

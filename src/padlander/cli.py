@@ -56,7 +56,10 @@ def _scenario_list(names) -> list:
         if name.upper() not in ScenarioKind.__members__:
             valid = ", ".join(list(ScenarioKind.__members__) + ["ALL"])
             raise ConfigError(f"unknown scenario {name!r}; valid: {valid}")
-        out.append(ScenarioKind[name.upper()])
+        kind = ScenarioKind[name.upper()]
+        if kind in out:
+            raise ConfigError(f"scenario {kind.name} given twice in --scenario")
+        out.append(kind)
     return out
 
 

@@ -72,8 +72,13 @@ def ekf_update_unmemoized(x, P, R, z):
 
 
 def fresh_model(dt, q=1e-4, r=1e-6):
-    """A model with an empty memo, not shared through kalman_model."""
+    """A model with empty caches, not shared through kalman_model."""
     return KalmanModel(transition_matrix(dt), q * np.eye(6), r * np.eye(3))
+
+
+def cache_infos(model):
+    """The CacheInfo of the model's predict and update caches."""
+    return model._predicted.cache_info(), model._updated.cache_info()
 
 
 class TestMatrices:
@@ -203,8 +208,8 @@ class TestKalmanMemo:
     def test_matches_unmemoized_filter_cold_and_warm(self):
         rng = np.random.default_rng(21)
         models = [fresh_model(dt, r=r) for dt, r in self.MODELS]
-        sizes = []
-        # Episodes alternate between models, so a memo shared across models would show.
+        misses = []
+        # Episodes alternate between models, so a cache shared across models would show.
         for episode in range(3):
             for model, (dt, r) in zip(models, self.MODELS):
                 A, Q, R = transition_matrix(dt), 1e-4 * np.eye(6), r * np.eye(3)
@@ -219,9 +224,9 @@ class TestKalmanMemo:
                     ekf = ekf_update(ekf, z)
                     x, P = ekf_update_unmemoized(x, P, R, z)
                     assert np.array_equal(ekf.x, x) and np.array_equal(ekf.P, P)
-            sizes.append([len(m._covariances) for m in models])
-        assert sizes[0] == sizes[1] == sizes[2]  # episodes 2 and 3 ran on hits only
-        assert sizes[0][0] > 1000 and sizes[0][1] > 2000
+            misses.append([[info.misses for info in cache_infos(m)] for m in models])
+        assert misses[0] == misses[1] == misses[2]  # episodes 2 and 3 ran on hits only
+        assert sum(misses[0][0]) > 1000 and sum(misses[0][1]) > 2000
 
     def test_create_shares_one_model_per_parameters(self):
         a, b = EkfState.create(1 / 30, x0=np.ones(6)), EkfState.create(1 / 30)
@@ -236,7 +241,7 @@ class TestKalmanMemo:
                 a[0, 0] = 2.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_covariance_raises_every_call_and_is_not_stored(self, bad):
+    def test_non_finite_covariance_raises_every_call_and_only_predict_stores_it(self, bad):
         model = fresh_model(1 / 30)
         P = np.eye(6)
         P[2, 4] = bad
@@ -246,7 +251,10 @@ class TestKalmanMemo:
                 ekf_update(ekf, np.zeros(3))
             with np.errstate(invalid="ignore"):
                 assert not np.isfinite(ekf_predict(ekf).P).all()
-        assert len(model._covariances) == 0
+        predicted, updated = cache_infos(model)
+        assert (updated.misses, updated.currsize) == (3, 0)  # a raising update stores nothing
+        # predict is a pure function of P, so its non-finite result is stored and reused
+        assert (predicted.hits, predicted.misses, predicted.currsize) == (2, 1, 1)
 
     def test_singular_innovation_raises_every_call_and_is_not_stored(self):
         model = fresh_model(0.1, r=0.0)
@@ -254,7 +262,7 @@ class TestKalmanMemo:
         for _ in range(3):
             with pytest.raises(FilterDivergenceError, match="singular"):
                 ekf_update(ekf, np.zeros(3))
-        assert len(model._covariances) == 0
+        assert cache_infos(model)[1].currsize == 0
 
     def test_bad_measurement_is_checked_before_a_memo_hit(self):
         ekf = ekf_predict(EkfState.create(1 / 30))
@@ -287,9 +295,28 @@ class TestKalmanMemo:
         for _ in range(100):
             ekf = ekf_update(ekf_predict(ekf), np.ones(3))
             x, P = ekf_update_unmemoized(*ekf_predict_unmemoized(x, P, model.A, model.Q), model.R, np.ones(3))
-            assert len(model._covariances) <= 16
-        assert len(model._covariances) == 16
+            assert all(info.currsize <= 16 for info in cache_infos(model))
+        assert [info.currsize for info in cache_infos(model)] == [16, 16]
         assert np.array_equal(ekf.x, x) and np.array_equal(ekf.P, P)
+
+    def test_bound_holds_the_whole_recursion_at_the_highest_control_rate(self):
+        # 240 Hz, the physics rate, is the highest control_hz EnvConfig accepts. From
+        # P0 = I the recursion repeats within 3952 steps there, so a second pass over
+        # 4000 steps must run on hits only: an LRU cache smaller than a repeating
+        # sweep would miss on every call.
+        model = fresh_model(1 / 240)
+
+        def sweep():
+            ekf = EkfState(np.zeros(6), np.eye(6), model)
+            for _ in range(4000):
+                ekf = ekf_update(ekf_predict(ekf), np.zeros(3))
+            infos = cache_infos(model)
+            assert all(info.currsize <= baseline.KALMAN_MEMO_ENTRIES for info in infos)
+            return [info.misses for info in infos]
+
+        first = sweep()
+        assert min(first) > 3900
+        assert sweep() == first
 
 
 class TestPid:

@@ -279,6 +279,15 @@ class TestCliExitCodes:
         assert rc == 2
         assert "XPL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("names", [["SPL", "spl"], ["LMPL", "CTL", "lmpl"]], ids=["SPL-spl", "LMPL-CTL-lmpl"])
+    def test_repeated_scenario_is_usage_error_before_any_output(self, tmp_path, capsys, names):
+        # A repeated scenario would run twice: two identical report groups and trials.csv rows.
+        argv = ["benchmark", "--baseline", "--trials", "1", "-o", f"outdir={tmp_path}"]
+        rc = main(argv + [arg for name in names for arg in ("--scenario", name)])
+        assert rc == 2
+        assert f"scenario {names[-1].upper()} given twice" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_benchmark_requires_controller(self):
         assert main(["benchmark", "--scenario", "SPL"]) == 2
 

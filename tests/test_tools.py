@@ -1,0 +1,36 @@
+"""The scripts in tools/ run to completion against the current library.
+
+tools/update_timing.py reads td3._lane_pays, td3.LANE_MIN_WORK and td3._NETS,
+so a rename of any of them shows here.
+"""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_tool(*argv):
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / argv[0]), *argv[1:]], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_loc_counts_every_module_and_both_totals():
+    lines = run_tool("loc.py")
+    modules = sorted(path.name for path in (ROOT / "src" / "padlander").glob("*.py"))
+    assert [line.split()[1] for line in lines[:-2]] == modules
+    assert re.fullmatch(r" *\d+  total", lines[-2])
+    assert re.fullmatch(r" *\d+  tests total", lines[-1])
+    assert int(lines[-2].split()[0]) == sum(int(line.split()[0]) for line in lines[:-2])
+
+
+def test_update_timing_reports_both_update_kinds_and_a_digest():
+    lines = run_tool("update_timing.py", "--updates", "8")
+    assert re.match(r"seed 11, 8 updates at hidden_dims .*, worker lane (on|off)$", lines[0])
+    assert re.fullmatch(r" plain updates: n=4 median [\d.]+ ms \[quartiles [\d.]+-[\d.]+\]", lines[1])
+    assert re.fullmatch(r"policy updates: n=4 median [\d.]+ ms \[quartiles [\d.]+-[\d.]+\]", lines[2])
+    assert re.fullmatch(r"parameter digest [0-9a-f]{12}", lines[3])
