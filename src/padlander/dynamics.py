@@ -16,10 +16,11 @@ of magnitude faster than 3-vector numpy ops at that size.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from padlander.records import check_settings, frozen_record
+from padlander.records import check_settings
 
 VEL_ENVELOPE = (3.0, 3.0, 2.0)  # m/s, per component
 SETPOINT_DELTA_BOUND = 0.1  # m, max |delta| per axis per command
@@ -51,8 +52,7 @@ def _vec3(x) -> np.ndarray:
     return v
 
 
-@frozen_record
-class DroneState:
+class DroneState(NamedTuple):
     position: np.ndarray  # m, world frame
     velocity: np.ndarray  # m/s
     attitude: np.ndarray  # rad (roll, pitch, yaw)

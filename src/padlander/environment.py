@@ -20,13 +20,13 @@ dynamics.clamp give the same bits either way.
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from padlander.dynamics import (SETPOINT_DELTA_BOUND, DroneParams, DroneState, StateCorruptionError,
                                 apply_setpoint_delta, clamp, step_drone_many)
-from padlander.records import check_settings, frozen_record
+from padlander.records import check_settings
 from padlander.reward import RewardBreakdown, RewardConfig, compute_reward
 from padlander.rng import substream
 from padlander.scenario import PAD_HALF_EXTENT, PlatformState, ScenarioSpec, init_wind, platform_at, sample_wind_step
@@ -103,8 +103,7 @@ def build_observation(drone: DroneState, pad: PlatformState) -> np.ndarray:
     return np.minimum(np.maximum(np.array(raw), -OBS_BOUNDS), OBS_BOUNDS) / OBS_BOUNDS
 
 
-@frozen_record
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What one control step produced; t, drone and pad are post-step."""
 
     observation: np.ndarray

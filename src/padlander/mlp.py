@@ -104,8 +104,9 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batched forward pass; x is (batch, in) or (in,). Returns a fresh array."""
+        x = np.asarray(x, dtype=self.dtype)
         squeeze = x.ndim == 1
-        h = np.atleast_2d(np.asarray(x, dtype=self.dtype))
+        h = np.atleast_2d(x)
         if h.shape[1] != self.layer_dims[0]:
             raise ValueError(f"input dim {h.shape[1]} != expected {self.layer_dims[0]}")
         acts = self._acts.get(h.shape[0])

@@ -1,17 +1,18 @@
-"""Frozen records that are cheap to build, and the range check of settings records.
-
-A control step builds a handful of frozen records (drone, platform,
-reward, outcome). ``dataclass(frozen=True)`` stores each field through
-``object.__setattr__``, which costs about twice a plain assignment per
-field. ``frozen_record`` makes the same frozen dataclass, then gives it an
-``__init__`` that writes the fields straight into the instance dict.
-Assignment still raises ``FrozenInstanceError``, and ``dataclasses.fields``,
-``replace``, ``==``, ``hash`` and ``repr`` are the dataclass's own.
+"""The range check of settings records.
 
 ``check_settings`` is the one range check of the settings records (drone,
 scenario, env, reward, PID, pursuit, TD3); each calls it from its
 ``__post_init__``, so a value is checked whether it came from a config file
 or was passed in code.
+
+The records a control step builds (``DroneState``, ``PlatformState``,
+``RewardBreakdown``, ``StepOutcome``) are not settings: they are
+``typing.NamedTuple`` subclasses, each defined beside the code that builds
+it. They are immutable, read their fields through C getters and hold no
+per-instance ``__dict__``. Being tuples, they index and unpack, and compare
+equal to any tuple with the same values. ``dataclasses.fields`` and
+``replace`` do not apply to them; ``_fields`` and ``_replace`` do.
+Assigning a field raises ``AttributeError``.
 """
 
 import dataclasses
@@ -52,23 +53,3 @@ def check_settings(record, **intervals):
         if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise ValueError(f"{f.name} must be an integer, got {value}")
 
-
-def frozen_record(cls):
-    """``dataclass(frozen=True)`` with a faster ``__init__``.
-
-    Defaults, ``default_factory`` and ``__post_init__`` are not supported,
-    because the records that use this have none of them.
-    """
-    cls = dataclasses.dataclass(frozen=True)(cls)
-    fields = dataclasses.fields(cls)
-    if hasattr(cls, "__post_init__") or any(
-            f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING for f in fields):
-        raise TypeError(f"{cls.__name__}: frozen_record supports no default, default_factory or __post_init__")
-    params = ", ".join(f.name for f in fields)
-    stores = "".join(f"\n    d[{f.name!r}] = {f.name}" for f in fields)
-    namespace = {}
-    exec(f"def __init__(self, {params}):\n    d = self.__dict__{stores}\n", namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
-    return cls

@@ -15,11 +15,11 @@ Everything passes through tanh, so the reward is bounded in (-1, 1).
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from padlander.records import check_settings, frozen_record
+from padlander.records import check_settings
 
 
 class RewardCase(enum.Enum):
@@ -59,8 +59,7 @@ class RewardConfig:
             raise ValueError(f"gamma must be negative, got {self.gamma}")
 
 
-@frozen_record
-class RewardBreakdown:
+class RewardBreakdown(NamedTuple):
     total: float
     case_id: RewardCase
     u_attractive: float

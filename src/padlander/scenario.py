@@ -17,11 +17,12 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from padlander.dynamics import clamp
-from padlander.records import check_settings, frozen_record
+from padlander.records import check_settings
 
 PLATFORM_SPEED_LIMIT = 0.46  # m/s per component
 PAD_HALF_EXTENT = 0.25  # m, half side of the 0.5 m square pad
@@ -37,8 +38,7 @@ class ScenarioKind(enum.Enum):
     CTL = "CTL"
 
 
-@frozen_record
-class PlatformState:
+class PlatformState(NamedTuple):
     position: np.ndarray  # m, pad center, top surface
     velocity: np.ndarray  # m/s
 

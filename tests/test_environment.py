@@ -1,5 +1,3 @@
-from dataclasses import FrozenInstanceError, fields, replace
-
 import numpy as np
 import pytest
 
@@ -121,12 +119,11 @@ class TestStep:
         env = make_env()
         env.reset(0)
         out = env.step(np.array([1.0 + 1e-7, -0.5, 0.0]))
-        names = [f.name for f in fields(StepOutcome)]
-        assert names == ["observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force"]
+        assert StepOutcome._fields == ("observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force")
         assert np.array_equal(out.action, [1.0, -0.5, 0.0])  # the clamped action
         assert out.drone is env.drone
         assert out.t == env.control_dt
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             out.t = 0.0
 
     @pytest.mark.parametrize("action", [[np.nan, 5.0, 0.0], [np.nan, 0.0, 0.0]])
@@ -236,7 +233,7 @@ class TestTrace:
         # values a rollout rarely shows: signed zeros, non-finite, subnormal, huge
         odd = np.array([-0.0, np.nan, np.inf])
         drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3), np.zeros(3))
-        outs.append(replace(outs[0], terminal=Terminal.CRASH, t=1.0 / 3.0, drone=drone,
-                            action=np.array([1.0, -1.0, -0.0])))
+        outs.append(outs[0]._replace(terminal=Terminal.CRASH, t=1.0 / 3.0, drone=drone,
+                                     action=np.array([1.0, -1.0, -0.0])))
         for out in outs:
             assert trace_row(out) == by_fstring(out)

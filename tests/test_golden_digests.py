@@ -3,12 +3,21 @@
 The digests were taken with numpy 2.4.6 on OpenBLAS 0.3.31 (Python 3.11,
 x86-64). A refactor that claims "same behaviour" must leave them unchanged;
 a change that moves one on purpose records the new digest and the reason.
+The train pins are also checked at one and at two OpenBLAS threads, which
+hold the update's worker lanes and its inline path to the same bytes.
 """
 
+import glob
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import padlander
 from padlander.cli import main
 from padlander.environment import EnvConfig, LandingEnv
 from padlander.evaluation import Controller, run_benchmark, write_report
@@ -94,14 +103,18 @@ def agent_dir(tmp_path_factory):
     return out
 
 
-@pytest.fixture(scope="module")
-def train_dir(tmp_path_factory):
-    """The files `padlander train` writes, for a short LMPL run at seed 0."""
-    out = tmp_path_factory.mktemp("golden-train")
+def write_golden_train(out):
+    """Write the files `padlander train` writes, for a short LMPL run at seed 0, into out."""
     hp = Td3Hyperparams(total_steps=300, eval_interval=150, eval_episodes=2, checkpoint_interval=0)
     result = train(lambda: LandingEnv(ScenarioSpec(ScenarioKind.LMPL)), hp, seed=0)
     save_checkpoint(out / "checkpoint.bin", result.learner)
     write_curve_csv(out / "curve.csv", result.curve)
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden-train")
+    write_golden_train(out)
     return out
 
 
@@ -123,6 +136,36 @@ def test_agent_output_digest(agent_dir, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRAIN))
 def test_train_output_digest(train_dir, name):
     assert _sha256(train_dir / name) == GOLDEN_TRAIN[name]
+
+
+# argv: this directory, the output directory. Prints whether the update's
+# worker lanes pay here and whether the run took them.
+TRAIN_CHILD = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from test_golden_digests import write_golden_train
+from padlander import td3
+write_golden_train(Path(sys.argv[2]))
+print(td3._lane_pays(), td3._worker is not None)
+"""
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_train_digest_holds_at_one_and_two_blas_threads(tmp_path, blas_threads):
+    """The pins hold whether the update runs its worker lanes (one BLAS thread) or inline (two)."""
+    src = os.path.dirname(os.path.dirname(padlander.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", TRAIN_CHILD, str(Path(__file__).parent), str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=600, check=True)
+    pays, took_lanes = out.stdout.split()
+    assert took_lanes == pays  # the default dims reach LANE_MIN_WORK, so the lanes run wherever they pay
+    for name, digest in GOLDEN_TRAIN.items():
+        assert _sha256(tmp_path / name) == digest
+    if (hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+            and glob.glob(os.path.dirname(np.__file__) + ".libs/*openblas*")):
+        assert took_lanes == str(blas_threads == "1")
 
 
 def test_default_reward_surface_digest(tmp_path):

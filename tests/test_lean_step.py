@@ -4,11 +4,11 @@ Each function below is compared, with tobytes(), against a frozen in-test copy
 of the numpy code it replaced: PID and pursuit, platform_at, the observation,
 the action check and clamp, and the wind draw. The cases include signed
 zeros, NaN, ties at the clamp bounds, actions at +-(1 + 1e-6) and reversed
-CMPL arcs. The last tests check that the hot records stay frozen and that a
-baseline episode still crosses every boundary the traced benchmark wraps.
+CMPL arcs. The last tests check that the hot records stay immutable named
+tuples and that a baseline episode still crosses every boundary the traced
+benchmark wraps.
 """
 
-import dataclasses
 import importlib
 import math
 from collections import Counter
@@ -25,7 +25,6 @@ import padlander.scenario as scenario
 from padlander.baseline import EkfState, PidController, PidState, PursuitConfig, pursuit_command, run_baseline_episode
 from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import OBS_BOUNDS, ActionRangeError, EnvConfig, LandingEnv, StepOutcome, build_observation
-from padlander.records import frozen_record
 from padlander.reward import RewardBreakdown, RewardCase
 from padlander.scenario import (
     CALM_FORCE,
@@ -451,54 +450,40 @@ class TestWind:
 
 
 RECORDS = {
-    DroneState: lambda: drone_at([1.0, 2.0, 3.0]),
-    PlatformState: lambda: PlatformState(np.zeros(3), np.ones(3)),
-    RewardBreakdown: lambda: RewardBreakdown(0.5, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, 0.1),
-    StepOutcome: lambda: StepOutcome(np.zeros(15), None, environment.Terminal.NONE, 0.1, None, None, np.zeros(3),
-                                     CALM_FORCE),
+    DroneState: (lambda: drone_at([1.0, 2.0, 3.0]),
+                 ("position", "velocity", "attitude", "angular_velocity", "setpoint")),
+    PlatformState: (lambda: PlatformState(np.zeros(3), np.ones(3)), ("position", "velocity")),
+    RewardBreakdown: (lambda: RewardBreakdown(0.5, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, 0.1),
+                      ("total", "case_id", "u_attractive", "u_repulsive", "beta_term", "delta_term", "progress")),
+    StepOutcome: (lambda: StepOutcome(np.zeros(15), None, environment.Terminal.NONE, 0.1, None, None, np.zeros(3),
+                                      CALM_FORCE),
+                  ("observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force")),
 }
 
 
 class TestRecords:
     @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
-    def test_hot_records_stay_frozen_dataclasses(self, cls):
-        record = RECORDS[cls]()
-        names = [f.name for f in dataclasses.fields(cls)]
-        assert list(vars(record)) == names
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    def test_hot_records_are_immutable_named_tuples(self, cls):
+        build, names = RECORDS[cls]
+        record = build()
+        assert isinstance(record, tuple) and cls._fields == names
+        with pytest.raises(AttributeError):
             setattr(record, names[0], None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(record, names[-1])
-        moved = dataclasses.replace(record, **{names[-1]: "x"})
-        assert getattr(moved, names[-1]) == "x" and getattr(moved, names[0]) is getattr(record, names[0])
+        moved = record._replace(**{names[-1]: "x"})
+        assert type(moved) is cls and getattr(moved, names[-1]) == "x"
+        assert all(getattr(moved, name) is getattr(record, name) for name in names[:-1])
         assert repr(record).startswith(cls.__name__ + "(")
         with pytest.raises(TypeError):
             cls()
+        assert not hasattr(record, "__dict__")
 
     def test_keywords_and_equality(self):
         pad = PlatformState(velocity=np.ones(3), position=np.zeros(3))
         assert same(pad.position, np.zeros(3)) and same(pad.velocity, np.ones(3))
         a, b = RewardBreakdown(0.5, RewardCase.MID, 0, 0, 0, 0, 0.1), RewardBreakdown(0.5, RewardCase.MID, 0, 0, 0, 0, 0.1)
         assert a == b and hash(a) == hash(b)
-
-    def test_rejects_what_it_cannot_build(self):
-        with pytest.raises(TypeError, match="default"):
-            @frozen_record
-            class WithDefault:
-                x: float = 0.25
-
-        with pytest.raises(TypeError, match="default_factory"):
-            @frozen_record
-            class WithFactory:
-                xs: list = dataclasses.field(default_factory=list)
-
-        with pytest.raises(TypeError, match="__post_init__"):
-            @frozen_record
-            class WithPostInit:
-                x: int
-
-                def __post_init__(self):
-                    pass
 
 
 def boundary_targets(monkeypatch):

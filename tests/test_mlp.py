@@ -137,6 +137,16 @@ class TestForward:
         net.forward(x2)
         assert np.array_equal(first, kept)
 
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (2, 3)])
+    def test_list_and_tuple_inputs_match_the_array(self, shape):
+        net = Mlp([3, 8, 2], "tanh", np.random.default_rng(22))
+        x = np.random.default_rng(23).normal(size=shape)
+        expected = net.forward(x)
+        as_tuple = tuple(x.tolist()) if x.ndim == 1 else tuple(map(tuple, x.tolist()))
+        for v in (x.tolist(), as_tuple):
+            out = net.forward(v)
+            assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
     def test_dimension_mismatch_rejected(self):
         net = Mlp([4, 2])
         with pytest.raises(ValueError):

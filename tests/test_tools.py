@@ -1,7 +1,7 @@
 """The scripts in tools/ run to completion against the current library.
 
-tools/update_timing.py reads td3._lane_pays, td3.LANE_MIN_WORK and td3._NETS,
-so a rename of any of them shows here.
+tools/update_timing.py reads td3._worker and td3._NETS, so a rename of either
+shows here.
 """
 
 import re

@@ -1,5 +1,6 @@
-"""Every name a padlander module imports is used in that module.
+"""Every name a module imports is used in that module.
 
+The scan covers src/padlander, tools/, demos/ and tests/. The package's
 `__init__.py` is left out: its imports are the package's exports.
 """
 
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "padlander"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_INIT = ROOT / "src" / "padlander" / "__init__.py"
+MODULES = sorted(p for d in ("src/padlander", "tools", "demos", "tests") for p in (ROOT / d).glob("*.py")
+                 if p != PACKAGE_INIT)
 
 
 def unused_imports(source: str) -> list:

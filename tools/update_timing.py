@@ -62,9 +62,9 @@ def main(argv=None) -> int:
         if i >= WARMUP:
             times[policy].append((time.perf_counter_ns() - start) / 1e6)
 
-    lanes = b * learner.critic1.n_params >= td3.LANE_MIN_WORK and td3._lane_pays()
+    # The worker thread starts on the first update that takes the lanes.
     print(f"seed {args.seed}, {args.updates} updates at hidden_dims {hp.hidden_dims}, batch {b}, "
-          f"worker lane {'on' if lanes else 'off'}")
+          f"worker lane {'off' if td3._worker is None else 'on'}")
     for policy, name in ((False, "plain"), (True, "policy")):
         q1, q2, q3 = statistics.quantiles(times[policy], n=4)
         print(f"{name:>6} updates: n={len(times[policy])} median {q2:.2f} ms [quartiles {q1:.2f}-{q3:.2f}]")
