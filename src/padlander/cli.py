@@ -49,10 +49,12 @@ def _write_resolved(outdir: str, cfg: RunConfig) -> None:
 
 
 def _scenario_list(names) -> list:
+    if "ALL" in (name.upper() for name in names):
+        if len(names) > 1:
+            raise ConfigError(f"scenario ALL must stand alone in --scenario, got {', '.join(names)}")
+        return list(ScenarioKind)
     out = []
     for name in names:
-        if name.upper() == "ALL":
-            return list(ScenarioKind)
         if name.upper() not in ScenarioKind.__members__:
             valid = ", ".join(list(ScenarioKind.__members__) + ["ALL"])
             raise ConfigError(f"unknown scenario {name!r}; valid: {valid}")

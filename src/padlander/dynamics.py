@@ -182,7 +182,7 @@ def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> DroneState:
     d = _vec3(delta)
     dx, dy, dz = d.tolist()
     if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dz)):
-        raise StateCorruptionError("non-finite setpoint delta")
+        raise StateCorruptionError(f"non-finite setpoint delta {d}")
     bound = SETPOINT_DELTA_BOUND + 1e-12
     if abs(dx) > bound or abs(dy) > bound or abs(dz) > bound:
         raise ActionBoundError(

@@ -64,7 +64,7 @@ class Mlp:
         dtype=np.float32,
     ):
         if len(layer_dims) < 2:
-            raise ValueError("need at least an input and an output dimension")
+            raise ValueError(f"need at least an input and an output dimension, got {list(layer_dims)}")
         if output_activation not in ("linear", "tanh"):
             raise ValueError(f"unsupported output activation {output_activation!r}")
         self.layer_dims = list(layer_dims)
@@ -253,7 +253,7 @@ class Adam:
         both runs mine() first on this thread it steps every chunk in order.
         """
         if flat_grads.shape != self.params.shape:
-            raise ValueError("gradient buffer does not match parameter buffer")
+            raise ValueError(f"gradient shape {flat_grads.shape} != parameter shape {self.params.shape}")
         g = flat_grads.astype(self.params.dtype, copy=False)
         dt = self.params.dtype.type
         self.t += 1

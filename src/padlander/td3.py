@@ -121,39 +121,35 @@ class Td3Hyperparams:
 
 
 class ReplayBuffer:
-    """Uniform ring buffer of (obs, action, reward, next_obs, terminal)."""
+    """Uniform ring buffer of (obs, action, reward, next_obs, terminal), one float32 row per transition.
+
+    `fields` holds each field's columns in that order: a slice for obs,
+    action and next_obs, a column index for reward and terminal, so a
+    sampled reward or terminal column is 1-D.
+    """
 
     def __init__(self, capacity: int, obs_dim: int = OBS_DIM, action_dim: int = ACTION_DIM):
         self.capacity = capacity
-        self.obs = np.zeros((capacity, obs_dim), dtype=np.float32)
-        self.actions = np.zeros((capacity, action_dim), dtype=np.float32)
-        self.rewards = np.zeros(capacity, dtype=np.float32)
-        self.next_obs = np.zeros((capacity, obs_dim), dtype=np.float32)
-        self.terminals = np.zeros(capacity, dtype=np.float32)
+        reward = obs_dim + action_dim
+        terminal = reward + 1 + obs_dim
+        self.fields = (slice(0, obs_dim), slice(obs_dim, reward), reward, slice(reward + 1, terminal), terminal)
+        self.rows = np.zeros((capacity, terminal + 1), dtype=np.float32)
         self.cursor = 0
         self.size = 0
 
     def add(self, obs, action, reward, next_obs, terminal: bool) -> None:
-        i = self.cursor
-        self.obs[i] = obs
-        self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_obs[i] = next_obs
-        self.terminals[i] = float(terminal)
-        self.cursor = (i + 1) % self.capacity
+        row = self.rows[self.cursor]
+        for cols, value in zip(self.fields, (obs, action, reward, next_obs, float(terminal))):
+            row[cols] = value
+        self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
+        """batch_size rows drawn uniformly from the filled ones, as column views of one gathered block."""
         if self.size < batch_size:
             raise ValueError(f"buffer holds {self.size} < batch {batch_size} transitions")
-        idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.obs[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_obs[idx],
-            self.terminals[idx],
-        )
+        rows = self.rows[rng.integers(0, self.size, size=batch_size)]
+        return tuple(rows[:, cols] for cols in self.fields)
 
 
 class Td3Learner:

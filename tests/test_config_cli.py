@@ -278,14 +278,25 @@ class TestCliExitCodes:
         assert rc == 2
         assert "XPL" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("names", [["SPL", "spl"], ["LMPL", "CTL", "lmpl"]], ids=["SPL-spl", "LMPL-CTL-lmpl"])
-    def test_repeated_scenario_is_usage_error_before_any_output(self, tmp_path, capsys, names):
+    @pytest.mark.parametrize("names, error", [
+        (["SPL", "spl"], "scenario SPL given twice"),
+        (["LMPL", "CTL", "lmpl"], "scenario LMPL given twice"),
+        (["SPL", "ALL"], "scenario ALL must stand alone in --scenario, got SPL, ALL"),
+        (["ALL", "spl", "SPL"], "scenario ALL must stand alone in --scenario, got ALL, spl, SPL"),
+    ], ids=["SPL-spl", "LMPL-CTL-lmpl", "SPL-ALL", "ALL-spl-SPL"])
+    def test_repeated_scenario_is_usage_error_before_any_output(self, tmp_path, capsys, names, error):
         # A repeated scenario would run twice: two identical report groups and trials.csv rows.
         argv = ["benchmark", "--baseline", "--trials", "1", "-o", f"outdir={tmp_path}"]
         rc = main(argv + [arg for name in names for arg in ("--scenario", name)])
         assert rc == 2
-        assert f"scenario {names[-1].upper()} given twice" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scenario", [["--scenario", "ALL"], []], ids=["ALL", "default"])
+    def test_scenario_all_runs_every_kind_once(self, tmp_path, scenario):
+        assert main(["benchmark", "--baseline", "--trials", "1", "-o", f"outdir={tmp_path}"] + scenario) == 0
+        rows = (tmp_path / "benchmark_s0" / "trials.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == [kind.value for kind in ScenarioKind]
 
     def test_benchmark_requires_controller(self):
         assert main(["benchmark", "--scenario", "SPL"]) == 2
@@ -365,6 +376,7 @@ class TestCliExitCodes:
         "env.control_hz=0",
         "env.physics_hz=0",
         "env.wind_p_episode=2",
+        "env.wind_enabled=maybe",
         "env.wind_p_step=nan",
         "env.wind_bound=-1",
         "drone.a_max=-1",
@@ -503,14 +515,15 @@ class TestCliCommands:
             "-o", "td3.eval_interval=150",
             "-o", "td3.batch_size=16",
             "-o", "td3.learning_starts=50",
+            "-o", "td3.checkpoint_interval=150",
             "--total-steps", "300",
         ])
         assert rc == 0
         run_dir = tmp_path / "train_s3"
         names = sorted(p.name for p in run_dir.iterdir())
-        assert "checkpoint.bin" in names
-        assert "curve.csv" in names
-        assert "resolved.cfg" in names
+        assert names == ["checkpoint.bin", "checkpoint_00000150.bin", "checkpoint_00000300.bin",
+                         "curve.csv", "resolved.cfg"]
+        assert (run_dir / "checkpoint_00000300.bin").read_bytes() == (run_dir / "checkpoint.bin").read_bytes()
         curve = (run_dir / "curve.csv").read_text().splitlines()
         assert curve[0] == "step,mean_reward,mean_ep_len,success_rate"
         assert len(curve) == 3  # evals at 150 and 300
@@ -670,7 +683,14 @@ class TestCliCommands:
         assert not out.exists()
         assert main(["replay", str(trace), "--downsample", "1", "--out", str(out)]) == 0
 
-    def test_replay_empty_file(self, tmp_path):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("")
-        assert main(["replay", str(empty)]) == 2
+    @pytest.mark.parametrize("text, error", [
+        (None, "trace file not found: {}"),
+        ("", "{}: empty file, expected header " + TRACE_COLUMNS),
+        (TRACE_COLUMNS + "\n", "{}: no data rows"),
+    ], ids=["missing", "empty", "header-only"])
+    def test_replay_without_rows_is_usage_error_naming_the_file(self, tmp_path, capsys, text, error):
+        trace = tmp_path / "trace.csv"
+        if text is not None:
+            trace.write_text(text)
+        assert main(["replay", str(trace)]) == 2
+        assert error.format(trace) in capsys.readouterr().err

@@ -198,6 +198,19 @@ def test_non_finite_inputs_rejected():
     )
     with pytest.raises(StateCorruptionError):
         step_drone_many(bad, DroneParams(), np.zeros(3), DT, 1)
+    with pytest.raises(StateCorruptionError, match=r"^non-finite setpoint delta \[ 0\. nan  0\.\]$"):
+        apply_setpoint_delta(state, [0.0, np.nan, 0.0])
+
+
+@pytest.mark.parametrize("force, dt, n_substeps, message", [
+    (np.zeros(3), 0.0, 1, r"^dt must be positive, got 0\.0$"),
+    (np.zeros(3), -DT, 1, r"^dt must be positive, got -0\.004166"),
+    (np.zeros(3), DT, 0, r"^n_substeps must be >= 1, got 0$"),
+    (np.zeros(2), DT, 1, r"^expected 3-vector, got shape \(2,\)$"),
+], ids=["dt-zero", "dt-negative", "no-substeps", "force-shape"])
+def test_bad_step_arguments_rejected(force, dt, n_substeps, message):
+    with pytest.raises(ValueError, match=message):
+        step_drone_many(DroneState.at_rest([0.0, 0.0, 0.0]), DroneParams(), force, dt, n_substeps)
 
 
 # The seven settings records, each built with one field set and the rest at defaults.

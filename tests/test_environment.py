@@ -14,6 +14,7 @@ from padlander.environment import (
     write_trace,
     TRACE_COLUMNS,
 )
+from padlander.rng import substream
 from padlander.scenario import PlatformState, ScenarioKind, ScenarioSpec, platform_at
 
 SPL = ScenarioSpec(ScenarioKind.SPL)
@@ -82,9 +83,13 @@ class TestReset:
             dz = env.drone.position[2] - platform_at(env.episode_spec, 0.0).position[2]
             assert 0.5 <= dz <= 1.5
 
-    def test_invalid_seed_rejected(self):
-        with pytest.raises(ValueError):
-            make_env().reset(-1)
+    @pytest.mark.parametrize("call, message", [
+        (lambda: make_env().reset(-1), r"^seed must be non-negative, got -1$"),
+        (lambda: substream(-1, "wind"), r"^root seed must be non-negative, got -1$"),
+    ], ids=["reset", "substream"])
+    def test_invalid_seed_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestStep:
@@ -98,6 +103,10 @@ class TestStep:
         assert out.terminal is Terminal.TIMEOUT
         assert i + 1 == 600
         assert out.t == pytest.approx(20.0)
+
+    def test_stepping_before_reset_rejected(self):
+        with pytest.raises(EpisodeOverError, match=r"^reset\(\) must be called before step\(\)$"):
+            make_env().step(np.zeros(3))
 
     def test_stepping_terminal_episode_rejected(self):
         env = make_env()

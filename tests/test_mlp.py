@@ -153,6 +153,24 @@ class TestForward:
             net.forward(np.ones(5))
 
 
+def _backward_with(upstream):
+    net = Mlp([4, 2])
+    net.forward(np.ones((3, 4)))
+    net.backward(upstream)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Mlp([4]), r"^need at least an input and an output dimension, got \[4\]$"),
+    (lambda: Mlp([4, 2], "relu"), r"^unsupported output activation 'relu'$"),
+    (lambda: _backward_with(np.ones((3, 3))), r"^upstream shape \(3, 3\) != output shape \(3, 2\)$"),
+    (lambda: Adam(np.zeros(4, np.float32), 0.01).step(np.zeros(5, np.float32)),
+     r"^gradient shape \(5,\) != parameter shape \(4,\)$"),
+], ids=["one-dim", "activation", "upstream-shape", "adam-gradient-shape"])
+def test_bad_shape_or_setting_is_value_error_naming_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestBackward:
     def test_finite_difference_toy_float64(self):
         rng = np.random.default_rng(1)

@@ -31,7 +31,7 @@ class TestReplayBuffer:
             buf.add([i, i], [0.0], float(i), [i, i], False)
         assert buf.size == 10
         # oldest 3 gone: stored rewards are 3..12
-        assert sorted(buf.rewards.tolist()) == [float(i) for i in range(3, 13)]
+        assert sorted(buf.rows[:, buf.fields[2]].tolist()) == [float(i) for i in range(3, 13)]
 
     def test_sample_only_filled_region(self):
         buf = ReplayBuffer(capacity=100, obs_dim=2, action_dim=1)
@@ -42,6 +42,27 @@ class TestReplayBuffer:
         assert np.all(rew == 1.0)
         with pytest.raises(ValueError):
             buf.sample(6, rng)
+
+    def test_sample_gives_each_field_as_added(self):
+        buf = ReplayBuffer(capacity=20, obs_dim=3, action_dim=2)
+        added = [(np.arange(3) + i, [-i, 0.5 * i], i / 7, np.arange(3) - i, i % 3 == 0) for i in range(12)]
+        for transition in added:
+            buf.add(*transition)
+        idx = np.random.default_rng(4).integers(0, 12, size=8)
+        batch = buf.sample(8, np.random.default_rng(4))
+        assert [field.shape for field in batch] == [(8, 3), (8, 2), (8,), (8, 3), (8,)]
+        for field, column in zip(batch, zip(*added)):
+            expected = np.array([column[i] for i in idx], dtype=np.float32)
+            assert field.dtype == np.float32 and field.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_add_rejects_a_field_of_the_wrong_shape(self, field):
+        buf = ReplayBuffer(capacity=4, obs_dim=3, action_dim=2)
+        transition = [np.zeros(3), np.zeros(2), 0.0, np.zeros(3), False]
+        transition[field] = np.zeros(4)
+        with pytest.raises(ValueError):
+            buf.add(*transition)
+        assert buf.size == 0 and buf.cursor == 0
 
 
 class TestUpdate:

@@ -4,6 +4,7 @@ tools/update_timing.py reads td3._worker and td3._NETS, so a rename of either
 shows here.
 """
 
+import os
 import re
 import subprocess
 import sys
@@ -34,3 +35,23 @@ def test_update_timing_reports_both_update_kinds_and_a_digest():
     assert re.fullmatch(r" plain updates: n=4 median [\d.]+ ms \[quartiles [\d.]+-[\d.]+\]", lines[1])
     assert re.fullmatch(r"policy updates: n=4 median [\d.]+ ms \[quartiles [\d.]+-[\d.]+\]", lines[2])
     assert re.fullmatch(r"parameter digest [0-9a-f]{12}", lines[3])
+
+
+def test_line_hits_lists_the_lines_a_test_file_never_ran(tmp_path):
+    def checkout():
+        return {path for path in ROOT.rglob("*") if ".git" not in path.parts}
+
+    before = checkout()
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "line_hits.py"), str(ROOT / "tests" / "test_reward.py"),
+                           "-q"], cwd=tmp_path, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    missed = [re.fullmatch(r"(src/padlander/\w+\.py):(\d+): (.+)", line) for line in proc.stdout.splitlines()]
+    missed = [(m[1], int(m[2]), m[3]) for m in missed if m]
+    for path, n, source in missed:
+        assert (ROOT / path).read_text().splitlines()[n - 1].strip() == source
+    sources = {(path, source) for path, _, source in missed}
+    # test_reward.py never imports td3, and runs compute_reward's first body line.
+    assert ("src/padlander/td3.py", "class ReplayBuffer:") in sources
+    assert ("src/padlander/reward.py", "x, y, z = rel_pos.tolist()") not in sources
+    assert checkout() == before
