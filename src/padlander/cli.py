@@ -38,14 +38,12 @@ def _load(args) -> RunConfig:
 
 
 def _run_dir(cfg: RunConfig, label: str) -> str:
+    """Make the run directory and write the run's resolved.cfg into it."""
     path = os.path.join(cfg.outdir, f"{label}_s{cfg.seed}")
     os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_resolved(outdir: str, cfg: RunConfig) -> None:
-    with open(os.path.join(outdir, "resolved.cfg"), "w") as f:
+    with open(os.path.join(path, "resolved.cfg"), "w") as f:
         f.write(dump_config(cfg))
+    return path
 
 
 def _scenario_list(names) -> list:
@@ -82,7 +80,6 @@ def cmd_train(args) -> int:
         cfg = apply_item(cfg, "td3.total_steps", str(args.total_steps))
     learner = _load_agent(args.resume, cfg.td3) if args.resume else None
     outdir = _run_dir(cfg, "train")
-    _write_resolved(outdir, cfg)
 
     def env_factory():
         return LandingEnv(cfg.scenario_params, cfg.env, cfg.reward, cfg.drone)
@@ -116,21 +113,8 @@ def cmd_benchmark(args) -> int:
     learner = _load_agent(args.checkpoint, cfg.td3) if args.checkpoint else None
 
     outdir = _run_dir(cfg, "benchmark")
-    _write_resolved(outdir, cfg)
-    report = run_benchmark(
-        scenarios,
-        controllers,
-        trials_per_scenario=args.trials,
-        seed=cfg.seed,
-        learner=learner,
-        env_cfg=cfg.env,
-        reward_cfg=cfg.reward,
-        pursuit=cfg.baseline,
-        trace_dir=os.path.join(outdir, "traces"),
-        pid=cfg.pid,
-        drone_params=cfg.drone,
-        scenario_params=cfg.scenario_params,
-    )
+    report = run_benchmark(scenarios, controllers, args.trials, learner=learner, cfg=cfg,
+                           trace_dir=os.path.join(outdir, "traces"))
     write_report(outdir, report)
     print(report_text(report), end="")
     print(f"report -> {outdir}")

@@ -21,18 +21,12 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from padlander.baseline import (
-    ESTIMATOR_COLUMNS,
-    FilterDivergenceError,
-    PidController,
-    PursuitConfig,
-    run_baseline_episode,
-)
-from padlander.dynamics import ActionBoundError, DroneParams, StateCorruptionError
-from padlander.environment import ActionRangeError, EnvConfig, LandingEnv, Terminal, write_trace
-from padlander.reward import RewardConfig
+from padlander.baseline import ESTIMATOR_COLUMNS, FilterDivergenceError, run_baseline_episode
+from padlander.config import RunConfig
+from padlander.dynamics import ActionBoundError, StateCorruptionError
+from padlander.environment import ActionRangeError, LandingEnv, Terminal, write_trace
 from padlander.rng import substream
-from padlander.scenario import ScenarioKind, ScenarioSpec
+from padlander.scenario import ScenarioKind
 from padlander.td3 import Td3Learner, run_agent_episode
 
 
@@ -148,39 +142,39 @@ def run_benchmark(
     controllers: Sequence[Controller],
     trials_per_scenario: int = 10,
     wind: Optional[bool] = None,
-    seed: int = 0,
+    seed: Optional[int] = None,
     learner: Optional[Td3Learner] = None,
-    env_cfg: Optional[EnvConfig] = None,
-    reward_cfg: Optional[RewardConfig] = None,
-    pursuit: Optional[PursuitConfig] = None,
+    cfg: Optional[RunConfig] = None,
     trace_dir: Optional[str] = None,
-    pid: Optional[PidController] = None,
-    drone_params: Optional[DroneParams] = None,
-    scenario_params: Optional[ScenarioSpec] = None,
 ) -> BenchmarkReport:
     """Seeded paired trials for the requested controllers and scenarios.
 
-    pid sets the baseline's gains (default PidController()); every baseline
-    episode starts from a fresh PidState. drone_params and scenario_params
-    (default DroneParams() and ScenarioSpec defaults) shape every env; the
-    spec's kind is replaced by each scenario in turn, and its seed by the
-    per-episode seed drawn at reset. wind (default env_cfg.wind_enabled)
-    sets the default EnvConfig's wind; with env_cfg it must agree with
-    env_cfg.wind_enabled.
+    cfg (default RunConfig()) is the run: cfg.seed draws the trial seeds,
+    cfg.env, cfg.reward, cfg.drone and cfg.scenario_params shape every env,
+    and cfg.baseline and cfg.pid drive every baseline episode, each from a
+    fresh PidState. Each scenario in turn replaces cfg.scenario_params.kind,
+    so the kind in cfg does not reach a trial, and the per-episode seed
+    drawn at reset replaces its seed. wind and seed default to
+    cfg.env.wind_enabled and cfg.seed. Without cfg they set the default
+    RunConfig's values; with cfg each must equal cfg's value.
     """
     if trials_per_scenario < 1:
         raise ValueError("trials_per_scenario must be >= 1")
     if Controller.AGENT in controllers and learner is None:
         raise ValueError("agent benchmark requires a learner/checkpoint")
-    if env_cfg is None:
-        env_cfg = EnvConfig() if wind is None else EnvConfig(wind_enabled=wind)
-    elif wind is not None and wind != env_cfg.wind_enabled:
-        raise ValueError(f"wind={wind} contradicts env_cfg.wind_enabled={env_cfg.wind_enabled}")
-    wind = env_cfg.wind_enabled
-    pid = pid or PidController()
-    scenario_params = scenario_params or ScenarioSpec(ScenarioKind.SPL)
+    if cfg is None:
+        cfg = RunConfig()
+        if wind is not None:
+            cfg = replace(cfg, env=replace(cfg.env, wind_enabled=wind))
+        if seed is not None:
+            cfg = replace(cfg, seed=seed)
+    if wind is not None and wind != cfg.env.wind_enabled:
+        raise ValueError(f"wind={wind} contradicts cfg.env.wind_enabled={cfg.env.wind_enabled}")
+    if seed is not None and seed != cfg.seed:
+        raise ValueError(f"seed={seed} contradicts cfg.seed={cfg.seed}")
+    wind = cfg.env.wind_enabled
     report = BenchmarkReport()
-    seed_rng = substream(seed, "benchmark-trials")
+    seed_rng = substream(cfg.seed, "benchmark-trials")
     # One seed per (scenario, trial index), shared across controllers.
     trial_seeds = {
         kind: seed_rng.integers(2**31 - 1, size=trials_per_scenario) for kind in scenarios
@@ -193,13 +187,13 @@ def run_benchmark(
             trials = []
             for i in range(trials_per_scenario):
                 trial_seed = int(trial_seeds[kind][i])
-                env = LandingEnv(replace(scenario_params, kind=kind), env_cfg, reward_cfg, drone_params)
+                env = LandingEnv(replace(cfg.scenario_params, kind=kind), cfg.env, cfg.reward, cfg.drone)
                 est_rows = None
                 try:
                     if controller is Controller.AGENT:
                         outcomes = run_agent_episode(learner, env, trial_seed)
                     else:
-                        ep = run_baseline_episode(env, trial_seed, pursuit, pid)
+                        ep = run_baseline_episode(env, trial_seed, cfg.baseline, cfg.pid)
                         outcomes, est_rows = ep.outcomes, ep.estimator_rows
                     trial = _trial_from_outcomes(kind, controller, trial_seed, outcomes, wind)
                 except CONTROLLER_FAILURES as e:

@@ -30,6 +30,11 @@ _INTERVALS = {
 }
 
 
+def is_int(value) -> bool:
+    """The int rule of every settings field: an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_settings(record, **intervals):
     """Raise ValueError unless each named field lies in its interval and every float and int field is sound.
 
@@ -50,6 +55,6 @@ def check_settings(record, **intervals):
         value = getattr(record, f.name)
         if f.type is float and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite, got {value}")
-        if f.type is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        if f.type is int and not is_int(value):
             raise ValueError(f"{f.name} must be an integer, got {value}")
 

@@ -64,7 +64,7 @@ import numpy as np
 
 from padlander.environment import OBS_BOUNDS, LandingEnv, StepOutcome, Terminal
 from padlander.mlp import Adam, Mlp
-from padlander.records import check_settings
+from padlander.records import check_settings, is_int
 from padlander.rng import substream
 
 OBS_DIM = len(OBS_BOUNDS)
@@ -118,6 +118,8 @@ class Td3Hyperparams:
                                      "learning_starts", "eval_interval", "checkpoint_interval"))
         if not self.buffer_capacity >= self.batch_size:
             raise ValueError(f"buffer_capacity {self.buffer_capacity} is below batch_size {self.batch_size}")
+        if not isinstance(self.hidden_dims, tuple) or not all(is_int(d) and d >= 1 for d in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be a tuple of integers >= 1, got {self.hidden_dims!r}")
 
 
 class ReplayBuffer:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import math
@@ -595,18 +596,27 @@ class TestCliCommands:
         assert trials["default"] != trials["kd"]
 
     def test_benchmark_applies_drone_and_scenario_overrides(self, tmp_path):
-        trials = {}
+        trials, traces = {}, {}
         for name, extra in (("default", []), ("kp", ["-o", "drone.kp_pos=1.0"]),
-                            ("speed", ["-o", "scenario_params.speed=0.1"])):
+                            ("speed", ["-o", "scenario_params.speed=0.1"]),
+                            ("lookahead", ["-o", "baseline.lookahead=0.2"]), ("alpha", ["-o", "reward.alpha=2.0"])):
             rc = main([
                 "benchmark", "--baseline", "--scenario", "LMPL", "--trials", "2",
                 "--seed", "3", "-o", f"outdir={tmp_path / name}", *extra,
             ])
             assert rc == 0
-            trials[name] = (tmp_path / name / "benchmark_s3" / "trials.csv").read_text()
-        assert trials["kp"] != trials["default"]
-        assert trials["speed"] != trials["default"]
-        assert trials["speed"] != trials["kp"]
+            run = tmp_path / name / "benchmark_s3"
+            trials[name] = (run / "trials.csv").read_text()
+            with open(run / "traces" / "LMPL_EkfPid_00.csv") as f:
+                traces[name] = list(csv.DictReader(f))
+        flown = [trials[name] for name in ("default", "kp", "speed", "lookahead")]
+        assert len(set(flown)) == len(flown)
+        # The baseline never reads the reward, so alpha moves the trace's reward column and nothing else.
+        assert trials["alpha"] == trials["default"]
+        assert len(traces["alpha"]) == len(traces["default"])
+        for a, b in zip(traces["alpha"], traces["default"]):
+            assert {k: v for k, v in a.items() if k != "reward"} == {k: v for k, v in b.items() if k != "reward"}
+        assert [r["reward"] for r in traces["alpha"]] != [r["reward"] for r in traces["default"]]
 
     def test_replay_summary_and_downsample(self, tmp_path, capsys):
         bench_dir = tmp_path / "bench"

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -235,6 +236,10 @@ BAD_SETTINGS = [  # (build, field, value, error message pattern)
     (functools.partial(EnvConfig, physics_hz=240.0), "control_hz", 30.0, "^control_hz must be an integer, got 30.0$"),
     (functools.partial(EnvConfig, physics_hz=240.0), "control_hz", 30, "^physics_hz must be an integer, got 240.0$"),
     *((PidController, "kp", kp, r"^kp must be finite") for kp in ([math.nan, 1, 1], [1, math.inf, 1], -math.inf)),
+    # A layer width must be an integer >= 1: the He init divides by it and numpy sizes arrays with it.
+    *((Td3Hyperparams, "hidden_dims", dims,
+       f"^hidden_dims must be a tuple of integers >= 1, got {re.escape(str(dims))}$")
+      for dims in ((0,), (-1,), (8.0,), (64, True), [64, 64])),
 ]
 
 
@@ -244,6 +249,12 @@ def test_settings_reject_bad_values_when_built_in_code(build, name, value, messa
     """An interval check fails NaN too, and every float field must be finite, not only those set through config."""
     with pytest.raises(ValueError, match=message):
         build(**{name: value})
+
+
+@pytest.mark.parametrize("dims", [(), (1,), (400, 300), (np.int64(8),)])
+def test_hidden_dims_accepts_integer_widths(dims):
+    """No hidden layer is a linear net; any integer type is a width."""
+    assert Td3Hyperparams(hidden_dims=dims).hidden_dims == dims
 
 
 @given(v=st.floats(), c=st.floats(min_value=0.0, exclude_min=True), tie=st.sampled_from([0, 1, -1]))

@@ -3,6 +3,7 @@ import pytest
 
 from padlander import baseline, evaluation
 from padlander.baseline import FilterDivergenceError
+from padlander.config import RunConfig
 from padlander.environment import EnvConfig, Terminal
 from padlander.evaluation import (
     BenchmarkReport,
@@ -120,23 +121,33 @@ class TestRunBenchmark:
         assert report_csv(a) == report_csv(b)
         assert trials_csv(a) == trials_csv(b)
 
-    @pytest.mark.parametrize("wind, env_cfg, windy", [
+    @pytest.mark.parametrize("wind, cfg, windy", [
         (None, None, True),  # EnvConfig's default
         (False, None, False),
-        (None, EnvConfig(wind_enabled=True), True),
-        (None, EnvConfig(wind_enabled=False), False),
-        (True, EnvConfig(wind_enabled=True), True),
+        (None, RunConfig(env=EnvConfig(wind_enabled=True)), True),
+        (None, RunConfig(env=EnvConfig(wind_enabled=False)), False),
+        (True, RunConfig(env=EnvConfig(wind_enabled=True)), True),
     ])
-    def test_wind_defaults_to_env_cfg(self, wind, env_cfg, windy):
-        r = run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=2, wind=wind, seed=0,
-                          env_cfg=env_cfg)
+    def test_wind_defaults_to_cfg(self, wind, cfg, windy):
+        r = run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=2, wind=wind, cfg=cfg)
         assert [t.wind_enabled for t in r.trials] == [windy, windy]
 
     @pytest.mark.parametrize("wind", [True, False])
-    def test_wind_contradicting_env_cfg_rejected(self, wind):
-        with pytest.raises(ValueError, match=f"^wind={wind} contradicts env_cfg.wind_enabled={not wind}$"):
+    def test_wind_contradicting_cfg_rejected(self, wind):
+        with pytest.raises(ValueError, match=f"^wind={wind} contradicts cfg.env.wind_enabled={not wind}$"):
             run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=1, wind=wind,
-                          env_cfg=EnvConfig(wind_enabled=not wind))
+                          cfg=RunConfig(env=EnvConfig(wind_enabled=not wind)))
+
+    def test_seed_defaults_to_cfg(self):
+        by_cfg = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=2, cfg=RunConfig(seed=4))
+        by_seed = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=2, seed=4)
+        assert trials_csv(by_cfg) == trials_csv(by_seed)
+        assert trials_csv(by_cfg) != trials_csv(run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], 2))
+
+    def test_seed_contradicting_cfg_rejected(self):
+        with pytest.raises(ValueError, match="^seed=1 contradicts cfg.seed=2$"):
+            run_benchmark([ScenarioKind.SPL], [Controller.EKF_PID], trials_per_scenario=1, seed=1,
+                          cfg=RunConfig(seed=2))
 
     def test_agent_without_learner_rejected(self):
         with pytest.raises(ValueError):

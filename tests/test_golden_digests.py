@@ -19,6 +19,7 @@ import pytest
 
 import padlander
 from padlander.cli import main
+from padlander.config import RunConfig
 from padlander.environment import EnvConfig, LandingEnv
 from padlander.evaluation import Controller, run_benchmark, write_report
 from padlander.scenario import ScenarioKind, ScenarioSpec
@@ -87,8 +88,8 @@ def benchmark_dir(tmp_path_factory):
 def benchmark_60hz_dir(tmp_path_factory):
     """Three wind-on baseline trials per scenario at 60 Hz control, seed 1."""
     out = tmp_path_factory.mktemp("golden-60hz")
-    report = run_benchmark(list(ScenarioKind), [Controller.EKF_PID], 3, wind=True, seed=1,
-                           env_cfg=EnvConfig(control_hz=60), trace_dir=str(out / "traces"))
+    report = run_benchmark(list(ScenarioKind), [Controller.EKF_PID], 3,
+                           cfg=RunConfig(seed=1, env=EnvConfig(control_hz=60)), trace_dir=str(out / "traces"))
     write_report(str(out), report)
     return out
 

@@ -73,6 +73,13 @@ class TestCases:
         with pytest.raises(ObstacleContactError):
             reward_at([0.05, 0.0, 0.0], obstacle=0.0)
 
+    @pytest.mark.parametrize("rel_pos, prev, cfg, total", [
+        ([3.0, 0.0, 0.0], None, RewardConfig(gamma=-30.0), math.nextafter(-1.0, 0.0)),  # far: tanh(-30) is -1.0
+        ([0.5, 0.0, 0.0], 10.0, CFG, math.nextafter(1.0, 0.0)),  # mid: tanh(5 * 9.5) is 1.0
+    ], ids=["far-low-clamp", "mid-high-clamp"])
+    def test_saturated_tanh_stays_inside_the_open_interval(self, rel_pos, prev, cfg, total):
+        assert reward_at(rel_pos, prev=prev, cfg=cfg).total == total
+
 
 class TestSafetyAndSpeed:
     def test_below_pad_strictly_worse(self):

@@ -23,10 +23,15 @@ def run_tool(*argv):
 def test_loc_counts_every_module_and_both_totals():
     lines = run_tool("loc.py")
     modules = sorted(path.name for path in (ROOT / "src" / "padlander").glob("*.py"))
-    assert [line.split()[1] for line in lines[:-2]] == modules
-    assert re.fullmatch(r" *\d+  total", lines[-2])
-    assert re.fullmatch(r" *\d+  tests total", lines[-1])
-    assert int(lines[-2].split()[0]) == sum(int(line.split()[0]) for line in lines[:-2])
+    tests = sorted(path.name for path in (ROOT / "tests").glob("*.py"))
+    src_lines, src_total = lines[:len(modules)], lines[len(modules)]
+    test_lines, tests_total = lines[len(modules) + 1:-1], lines[-1]
+    assert [line.split()[1] for line in src_lines] == modules
+    assert [line.split()[1] for line in test_lines] == tests
+    assert re.fullmatch(r" *\d+  total", src_total)
+    assert re.fullmatch(r" *\d+  tests total", tests_total)
+    assert int(src_total.split()[0]) == sum(int(line.split()[0]) for line in src_lines)
+    assert int(tests_total.split()[0]) == sum(int(line.split()[0]) for line in test_lines)
 
 
 def test_update_timing_reports_both_update_kinds_and_a_digest():

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each src/padlander module and their total, then the total of tests/.
+"""Count the code lines of each src/padlander module and their total, then of each tests/ file and theirs.
 
     python3 tools/loc.py
 
@@ -35,13 +35,13 @@ def code_lines(path: Path) -> int:
 
 
 def main() -> None:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path)
-        total += n
-        print(f"{n:6d}  {path.name}")
-    print(f"{total:6d}  total")
-    print(f"{sum(code_lines(path) for path in TESTS.glob('*.py')):6d}  tests total")
+    for tree, label in ((SRC, "total"), (TESTS, "tests total")):
+        total = 0
+        for path in sorted(tree.glob("*.py")):
+            n = code_lines(path)
+            total += n
+            print(f"{n:6d}  {path.name}")
+        print(f"{total:6d}  {label}")
 
 
 if __name__ == "__main__":
