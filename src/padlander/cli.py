@@ -6,11 +6,12 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 
 import argparse
 import csv
+import io
 import math
 import os
 import sys
 
-from padlander.config import ConfigError, RunConfig, apply_item, dump_config, load_config
+from padlander.config import ConfigError, RunConfig, apply_item, dump_config, load_config, read_text
 from padlander.environment import TRACE_COLUMNS, LandingEnv
 from padlander.evaluation import Controller, report_text, run_benchmark, write_report
 from padlander.reward import write_surface_csv
@@ -24,8 +25,6 @@ RUNTIME_ERROR = 1
 def _load(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        if not os.path.exists(args.config):
-            raise ConfigError(f"config file not found: {args.config}")
         cfg = load_config(args.config, cfg)
     for item in args.override or []:
         if "=" not in item:
@@ -139,10 +138,7 @@ def cmd_replay(args) -> int:
     if args.downsample < 1:
         raise ConfigError(f"--downsample must be >= 1, got {args.downsample}")
     expected = TRACE_COLUMNS.split(",")
-    if not os.path.exists(args.trace):
-        raise ConfigError(f"trace file not found: {args.trace}")
-    with open(args.trace) as f:
-        rows = list(csv.reader(f))
+    rows = list(csv.reader(io.StringIO(read_text(args.trace, "trace file"))))
     if not rows:
         raise ConfigError(f"{args.trace}: empty file, expected header {TRACE_COLUMNS}")
     header = rows[0]

@@ -20,6 +20,7 @@ reproducible from artifacts alone.
 
 import dataclasses
 import enum
+import os
 from dataclasses import dataclass, field, replace
 from typing import Dict
 
@@ -144,9 +145,19 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     return cfg
 
 
+def read_text(path: str, what: str) -> str:
+    """The text of the regular file at path; ConfigError naming the path if there is none or it is not text."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        with open(path) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: {what} is not text: {e}") from None
+
+
 def load_config(path: str, base: RunConfig = None) -> RunConfig:
-    with open(path) as f:
-        return parse_config_text(f.read(), base)
+    return parse_config_text(read_text(path, "config file"), base)
 
 
 def dump_config(cfg: RunConfig) -> str:

@@ -117,11 +117,16 @@ class StepOutcome(NamedTuple):
 
 
 class LandingEnv:
-    """A single seeded landing episode generator.
+    """A seeded landing episode generator.
 
     reset(seed) spawns the drone above the pad and draws the wind coin;
     step(action) runs one control period. After a terminal step the episode
-    must be reset before stepping again.
+    must be reset before stepping again. reset(seed) rebuilds all episode
+    state, so one env serves any number of episodes.
+
+    Plain attributes: control_dt (s per control step); drone (the current
+    DroneState) and episode_spec (the scenario with the per-episode seed
+    drawn at reset), both None until the first reset().
     """
 
     def __init__(
@@ -136,30 +141,16 @@ class LandingEnv:
         self.reward_cfg = reward_cfg or RewardConfig()
         self.drone_params = drone_params or DroneParams()
         # The clocks come from the frozen cfg once.
-        self._control_dt = 1.0 / self.cfg.control_hz
+        self.control_dt = 1.0 / self.cfg.control_hz
         self._physics_dt = 1.0 / self.cfg.physics_hz
         self._substeps = self.cfg.physics_hz // self.cfg.control_hz
-        self._drone: Optional[DroneState] = None
+        self.drone: Optional[DroneState] = None
+        self.episode_spec: Optional[ScenarioSpec] = None
         self._windy = False
         self._wind_rng: Optional[np.random.Generator] = None
-        self._spec: Optional[ScenarioSpec] = None
-        self._t = 0.0
         self._step_count = 0
         self._prev_distance = 0.0
         self._terminal = Terminal.NONE
-
-    @property
-    def control_dt(self) -> float:
-        return self._control_dt
-
-    @property
-    def drone(self) -> Optional[DroneState]:
-        return self._drone
-
-    @property
-    def episode_spec(self) -> Optional[ScenarioSpec]:
-        """Scenario spec with the per-episode seed resolved at reset()."""
-        return self._spec
 
     def _spawn(self, rng: np.random.Generator, pad: PlatformState) -> np.ndarray:
         """Seeded point in the spawn hemisphere above the pad."""
@@ -175,21 +166,20 @@ class LandingEnv:
         # Per-episode scenario seed so LMPL headings vary across episodes
         # while the platform stream stays independent of wind and spawn.
         scen_rng = substream(seed, "scenario")
-        self._spec = replace(self.scenario, seed=int(scen_rng.integers(2**31 - 1)))
-        self._t = 0.0
+        self.episode_spec = replace(self.scenario, seed=int(scen_rng.integers(2**31 - 1)))
         self._step_count = 0
         self._terminal = Terminal.NONE
 
-        pad = platform_at(self._spec, 0.0)
+        pad = platform_at(self.episode_spec, 0.0)
         spawn_rng = substream(seed, "spawn")
-        self._drone = DroneState.at_rest(self._spawn(spawn_rng, pad))
+        self.drone = DroneState.at_rest(self._spawn(spawn_rng, pad))
 
         self._wind_rng = substream(seed, "wind")
         p_ep = self.cfg.wind_p_episode if self.cfg.wind_enabled else 0.0
         self._windy = init_wind(self._wind_rng, p_ep)
 
-        self._prev_distance = float(np.linalg.norm(pad.position - self._drone.position))
-        return build_observation(self._drone, pad)
+        self._prev_distance = float(np.linalg.norm(pad.position - self.drone.position))
+        return build_observation(self.drone, pad)
 
     def _classify(self, rel, rel_v, d: float, t: float) -> Terminal:
         over_pad = abs(rel[0]) <= PAD_HALF_EXTENT and abs(rel[1]) <= PAD_HALF_EXTENT
@@ -211,7 +201,7 @@ class LandingEnv:
         return Terminal.NONE
 
     def step(self, action: np.ndarray) -> StepOutcome:
-        if self._drone is None:
+        if self.drone is None:
             raise EpisodeOverError("reset() must be called before step()")
         if self._terminal is not Terminal.NONE:
             raise EpisodeOverError(f"episode already terminal ({self._terminal.value}); reset() first")
@@ -227,12 +217,12 @@ class LandingEnv:
 
         cfg = self.cfg
         wind_force = sample_wind_step(self._windy, self._wind_rng, cfg.wind_p_step, cfg.wind_bound)
-        drone = apply_setpoint_delta(self._drone, SETPOINT_DELTA_BOUND * a)
+        drone = apply_setpoint_delta(self.drone, SETPOINT_DELTA_BOUND * a)
         drone = step_drone_many(drone, self.drone_params, wind_force, self._physics_dt, self._substeps)
 
         self._step_count += 1
-        self._t = t = self._step_count * self._control_dt
-        pad = platform_at(self._spec, t)
+        t = self._step_count * self.control_dt
+        pad = platform_at(self.episode_spec, t)
 
         rel = drone.position - pad.position
         rel_v = drone.velocity - pad.velocity
@@ -244,7 +234,7 @@ class LandingEnv:
         self._prev_distance = d
 
         self._terminal = terminal = self._classify(rel_xyz, rel_v.tolist(), d, t)
-        self._drone = drone
+        self.drone = drone
         observation = build_observation(drone, pad)
         return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind_force)
 

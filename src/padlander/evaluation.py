@@ -150,8 +150,9 @@ def run_benchmark(
     """Seeded paired trials for the requested controllers and scenarios.
 
     cfg (default RunConfig()) is the run: cfg.seed draws the trial seeds,
-    cfg.env, cfg.reward, cfg.drone and cfg.scenario_params shape every env,
-    and cfg.baseline and cfg.pid drive every baseline episode, each from a
+    cfg.env, cfg.reward, cfg.drone and cfg.scenario_params shape the env,
+    one per scenario, which every trial of that scenario resets with its
+    seed; cfg.baseline and cfg.pid drive every baseline episode, each from a
     fresh PidState. Each scenario in turn replaces cfg.scenario_params.kind,
     so the kind in cfg does not reach a trial, and the per-episode seed
     drawn at reset replaces its seed. wind and seed default to
@@ -183,18 +184,18 @@ def run_benchmark(
         os.makedirs(trace_dir, exist_ok=True)
 
     for kind in scenarios:
+        # reset(trial_seed) rebuilds all episode state, so every trial of the scenario shares one env.
+        env = LandingEnv(replace(cfg.scenario_params, kind=kind), cfg.env, cfg.reward, cfg.drone)
         for controller in controllers:
             trials = []
-            for i in range(trials_per_scenario):
-                trial_seed = int(trial_seeds[kind][i])
-                env = LandingEnv(replace(cfg.scenario_params, kind=kind), cfg.env, cfg.reward, cfg.drone)
-                est_rows = None
+            for i, trial_seed in enumerate(trial_seeds[kind].tolist()):
+                estimator = ()
                 try:
                     if controller is Controller.AGENT:
                         outcomes = run_agent_episode(learner, env, trial_seed)
                     else:
                         ep = run_baseline_episode(env, trial_seed, cfg.baseline, cfg.pid)
-                        outcomes, est_rows = ep.outcomes, ep.estimator_rows
+                        outcomes, estimator = ep.outcomes, (ESTIMATOR_COLUMNS, ep.estimator_rows)
                     trial = _trial_from_outcomes(kind, controller, trial_seed, outcomes, wind)
                 except CONTROLLER_FAILURES as e:
                     trial = TrialResult(kind, controller, trial_seed, Terminal.CRASH, None, 0.0, None, wind)
@@ -202,11 +203,8 @@ def run_benchmark(
                     print(f"[benchmark] {kind.value}/{controller.value} trial {i}: controller error: {e}")
                 trials.append(trial)
                 if trace_dir and outcomes:
-                    path = os.path.join(trace_dir, f"{kind.value}_{controller.value}_{i:02d}.csv")
-                    if est_rows is not None:
-                        write_trace(path, outcomes, ESTIMATOR_COLUMNS, est_rows)
-                    else:
-                        write_trace(path, outcomes)
+                    write_trace(os.path.join(trace_dir, f"{kind.value}_{controller.value}_{i:02d}.csv"),
+                                outcomes, *estimator)
             report.trials.extend(trials)
             report.groups.append(_group_stats(kind, controller, trials))
     return report

@@ -54,6 +54,9 @@ class ScenarioSpec:
     initial_heading: float = 0.0  # rad, first LMPL segment
 
     def __post_init__(self):
+        # platform_at's last branch is CTL: any other kind must not get that far.
+        if not isinstance(self.kind, ScenarioKind):
+            raise ValueError(f"kind must be a ScenarioKind, got {self.kind!r}")
         check_settings(self, positive=("direction_change_period", "curve_radius"))
         if not 0.0 <= self.speed <= PLATFORM_SPEED_LIMIT:
             raise ValueError(f"platform speed must be in [0, {PLATFORM_SPEED_LIMIT}], got {self.speed}")
@@ -165,9 +168,7 @@ def platform_at(spec: ScenarioSpec, t: float) -> PlatformState:
         px, py, pz, vx, vy, vz = _lmpl(spec, t)
     elif kind is ScenarioKind.CMPL:
         px, py, pz, vx, vy, vz = _cmpl(spec, t)
-    elif kind is ScenarioKind.CTL:
+    else:  # CTL; ScenarioSpec admits no other kind
         px, py, pz, vx, vy, vz = _ctl(spec, t)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scenario kind {spec.kind}")
     lo, hi = -PLATFORM_SPEED_LIMIT, PLATFORM_SPEED_LIMIT
     return PlatformState(np.array([px, py, pz]), np.array([clamp(vx, lo, hi), clamp(vy, lo, hi), clamp(vz, lo, hi)]))

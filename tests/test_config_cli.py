@@ -274,6 +274,17 @@ class TestCliExitCodes:
         assert rc == 2
         assert "/nonexistent/run.cfg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["config-dump", "--config"], ["replay"]], ids=["config-dump", "replay"])
+    @pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"seed = 1\n\xff\n"), lambda p: p.mkdir()],
+                             ids=["binary", "directory"])
+    def test_unreadable_input_is_usage_error_naming_the_file(self, tmp_path, capsys, command, make):
+        path = tmp_path / "input"
+        make(path)
+        assert main(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err
+        assert captured.out == ""
+
     def test_unknown_scenario_is_usage_error(self, capsys):
         rc = main(["benchmark", "--baseline", "--scenario", "XPL", "--trials", "1"])
         assert rc == 2

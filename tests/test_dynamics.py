@@ -240,6 +240,9 @@ BAD_SETTINGS = [  # (build, field, value, error message pattern)
     *((Td3Hyperparams, "hidden_dims", dims,
        f"^hidden_dims must be a tuple of integers >= 1, got {re.escape(str(dims))}$")
       for dims in ((0,), (-1,), (8.0,), (64, True), [64, 64])),
+    # A kind that is not a ScenarioKind would reach platform_at's CTL branch.
+    *((ScenarioSpec, "kind", kind, f"^kind must be a ScenarioKind, got {re.escape(repr(kind))}$")
+      for kind in ("SPL", None, 0)),
 ]
 
 

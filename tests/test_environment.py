@@ -105,8 +105,13 @@ class TestStep:
         assert out.t == pytest.approx(20.0)
 
     def test_stepping_before_reset_rejected(self):
+        env = make_env(control_hz=60, physics_hz=240)
+        assert env.drone is None and env.episode_spec is None
+        assert env.control_dt == 1 / 60
         with pytest.raises(EpisodeOverError, match=r"^reset\(\) must be called before step\(\)$"):
-            make_env().step(np.zeros(3))
+            env.step(np.zeros(3))
+        env.reset(4)
+        assert env.episode_spec.seed == int(substream(4, "scenario").integers(2**31 - 1))
 
     def test_stepping_terminal_episode_rejected(self):
         env = make_env()
@@ -145,14 +150,16 @@ class TestStep:
     def test_scripted_descent_touches_down(self):
         # Open-loop proportional descent onto the static pad center.
         env = make_env()
-        obs = env.reset(3)
+        env.reset(3)
+        t = 0.0
         for _ in range(round(env.cfg.episode_cap * env.cfg.control_hz)):
-            rel = platform_at(env.episode_spec, env._t).position - env.drone.position
+            rel = platform_at(env.episode_spec, t).position - env.drone.position
             action = np.clip(rel / SETPOINT_DELTA_BOUND, -1.0, 1.0)
             # soften the final approach to stay under the touchdown speed
             if np.linalg.norm(rel) < 0.3:
                 action = np.clip(action, -0.3, 0.3)
             out = env.step(action)
+            t = out.t
             if out.terminal is not Terminal.NONE:
                 break
         assert out.terminal is Terminal.TOUCHDOWN

@@ -4,6 +4,7 @@ import pytest
 from padlander import baseline, evaluation
 from padlander.baseline import FilterDivergenceError
 from padlander.config import RunConfig
+from padlander.dynamics import StateCorruptionError
 from padlander.environment import EnvConfig, Terminal
 from padlander.evaluation import (
     BenchmarkReport,
@@ -195,6 +196,29 @@ class TestRunBenchmark:
         monkeypatch.setattr(baseline, "ekf_predict", poisoned)
         r = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=2, seed=0)
         assert [t.terminal for t in r.trials] == [Terminal.CRASH, Terminal.CRASH]
+
+    def test_reused_env_recovers_from_a_failed_trial(self, monkeypatch, tmp_path):
+        # Trial 0 fails after 4 steps; trials 1 and 2 reset the same env and must match a clean run.
+        def run(trace_dir):
+            r = run_benchmark([ScenarioKind.LMPL], [Controller.EKF_PID], trials_per_scenario=3,
+                              seed=3, trace_dir=str(trace_dir))
+            traces = {p.name: p.read_bytes() for p in trace_dir.iterdir()}
+            return [t.terminal for t in r.trials], trials_csv(r).splitlines(), traces
+
+        _, clean_rows, clean_traces = run(tmp_path / "clean")
+        command, calls = baseline.pursuit_command, []
+
+        def fail_fifth_call(*args):
+            calls.append(None)
+            if len(calls) == 5:
+                raise StateCorruptionError("injected mid-episode failure")
+            return command(*args)
+
+        monkeypatch.setattr(baseline, "pursuit_command", fail_fifth_call)
+        terminals, failed_rows, failed_traces = run(tmp_path / "failed")
+        assert terminals[0] is Terminal.CRASH
+        assert failed_rows[2:] == clean_rows[2:]
+        assert failed_traces == {name: clean_traces[name] for name in ("LMPL_EkfPid_01.csv", "LMPL_EkfPid_02.csv")}
 
     def test_traces_persisted(self, tmp_path):
         trace_dir = tmp_path / "traces"
