@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from padlander.config import ConfigError, RunConfig, apply_item, dump_config, load_config, read_text
+from padlander.config import KEYS, ConfigError, RunConfig, apply_item, dump_config, load_config, read_text
 from padlander.environment import TRACE_COLUMNS, LandingEnv
 from padlander.evaluation import Controller, report_text, run_benchmark, write_report
 from padlander.reward import write_surface_csv
@@ -23,6 +23,10 @@ RUNTIME_ERROR = 1
 
 
 def _load(args) -> RunConfig:
+    """The run's config: --config, then each -o item, then each flag whose dest is a config key.
+
+    Those flags are --seed, and train's --scenario and --total-steps; a flag left out is None and sets nothing.
+    """
     cfg = RunConfig()
     if args.config:
         cfg = load_config(args.config, cfg)
@@ -31,14 +35,17 @@ def _load(args) -> RunConfig:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
         cfg = apply_item(cfg, key, value)
-    if getattr(args, "seed", None) is not None:
-        cfg = apply_item(cfg, "seed", str(args.seed))
+    for key, value in vars(args).items():
+        if key in KEYS and value is not None:
+            cfg = apply_item(cfg, key, str(value))
     return cfg
 
 
 def _run_dir(cfg: RunConfig, label: str) -> str:
-    """Make the run directory and write the run's resolved.cfg into it."""
+    """Make the run directory and write the run's resolved.cfg into it; one directory holds one run."""
     path = os.path.join(cfg.outdir, f"{label}_s{cfg.seed}")
+    if os.path.isdir(path) and os.listdir(path):
+        raise ConfigError(f"run directory {path} exists and is not empty; pass a fresh -o outdir=")
     os.makedirs(path, exist_ok=True)
     with open(os.path.join(path, "resolved.cfg"), "w") as f:
         f.write(dump_config(cfg))
@@ -73,10 +80,6 @@ def _load_agent(path, hp):
 
 def cmd_train(args) -> int:
     cfg = _load(args)
-    if args.scenario:
-        cfg = apply_item(cfg, "scenario_params.kind", args.scenario)
-    if args.total_steps is not None:
-        cfg = apply_item(cfg, "td3.total_steps", str(args.total_steps))
     learner = _load_agent(args.resume, cfg.td3) if args.resume else None
     outdir = _run_dir(cfg, "train")
 
@@ -210,8 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the TD3 agent")
     _add_common(p)
-    p.add_argument("--scenario", help="scenario for training episodes, SPL/LMPL/CMPL/CTL (sets scenario_params.kind)")
-    p.add_argument("--total-steps", type=int)
+    p.add_argument("--scenario", dest="scenario_params.kind", help="scenario for training episodes, SPL/LMPL/CMPL/CTL")
+    p.add_argument("--total-steps", dest="td3.total_steps", type=int)
     p.add_argument("--resume", help="checkpoint to fine-tune from")
     p.set_defaults(func=cmd_train)
 

@@ -78,7 +78,7 @@ def _configurable_fields() -> Dict[str, type]:
     return {key: t for key, t in keys.items() if key not in _NOT_SETTABLE}
 
 
-_KEYS = _configurable_fields()
+KEYS = _configurable_fields()
 
 
 def _parse_value(text: str, target_type: type):
@@ -115,13 +115,13 @@ def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
     key = key.strip()
     if key in _NOT_SETTABLE:
         raise ConfigError(f"{key} cannot be set: {_NOT_SETTABLE[key]}")
-    if key not in _KEYS:
+    if key not in KEYS:
         section = key.partition(".")[0]
-        valid = [k for k in _KEYS if k.startswith(section + ".")]
+        valid = [k for k in KEYS if k.startswith(section + ".")]
         raise ConfigError(f"unknown configuration key {key!r}" + (f"; valid {section} keys: {valid}" if valid else ""))
     section, _, name = key.rpartition(".")
     try:
-        parsed = _parse_value(value, _KEYS[key])
+        parsed = _parse_value(value, KEYS[key])
         if section:
             name, parsed = section, replace(getattr(cfg, section), **{name: parsed})
         return replace(cfg, **{name: parsed})
@@ -163,7 +163,7 @@ def load_config(path: str, base: RunConfig = None) -> RunConfig:
 def dump_config(cfg: RunConfig) -> str:
     """Fully resolved flat-text form; parse_config_text reads it back to an equal RunConfig."""
     lines = []
-    for key in _KEYS:
+    for key in KEYS:
         section, _, name = key.rpartition(".")
         value = getattr(getattr(cfg, section) if section else cfg, name)
         lines.append(f"{key} = {_format_value(value)}")

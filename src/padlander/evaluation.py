@@ -273,11 +273,7 @@ def report_json(report: BenchmarkReport) -> str:
 
 def write_report(outdir: str, report: BenchmarkReport) -> None:
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "report.txt"), "w") as f:
-        f.write(report_text(report))
-    with open(os.path.join(outdir, "report.csv"), "w") as f:
-        f.write(report_csv(report))
-    with open(os.path.join(outdir, "report.json"), "w") as f:
-        f.write(report_json(report))
-    with open(os.path.join(outdir, "trials.csv"), "w") as f:
-        f.write(trials_csv(report))
+    for name, render in (("report.txt", report_text), ("report.csv", report_csv),
+                         ("report.json", report_json), ("trials.csv", trials_csv)):
+        with open(os.path.join(outdir, name), "w") as f:
+            f.write(render(report))

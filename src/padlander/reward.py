@@ -168,15 +168,12 @@ def reward_surface_grid(
 def write_surface_csv(path, z_slice: float, xy_range: float, resolution: int, cfg: RewardConfig) -> int:
     """Write the grid as CSV (header x,y,z,total,case,u_att,u_rep,beta,delta); returns row count."""
     xs, ys, grid = reward_surface_grid(z_slice, xy_range, resolution, cfg)
-    n = 0
     with open(path, "w") as f:
         f.write("x,y,z,total,case,u_att,u_rep,beta,delta\n")
-        for i, y in enumerate(ys):
-            for j, x in enumerate(xs):
-                b = grid[i][j]
+        for y, row in zip(ys, grid):
+            for x, b in zip(xs, row):
                 f.write(
                     f"{x:.9g},{y:.9g},{z_slice:.9g},{b.total:.9g},{b.case_id.value},"
                     f"{b.u_attractive:.9g},{b.u_repulsive:.9g},{b.beta_term:.9g},{b.delta_term:.9g}\n"
                 )
-                n += 1
-    return n
+    return len(xs) * len(ys)

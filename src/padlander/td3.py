@@ -348,9 +348,9 @@ def _layout(learner: Td3Learner):
 
     Returns the header lines the writer writes (format version, `nets`,
     `dims.<net>` and `activation.<net>` for each net, then the optimizer
-    flag, Adam step counts, update count and RNG state), the six nets' flat
-    parameter arrays, and the three Adams, whose m and v arrays follow the
-    nets in the payload.
+    flag, Adam step counts, update count and RNG state), every payload
+    array (the six nets' flat parameters, then each Adam's m and v), and
+    the three Adams.
     """
     nets = {name: getattr(learner, name) for name in _NETS}
     opts = [getattr(learner, f"{name}_opt") for name in _NETS[:3]]
@@ -364,27 +364,24 @@ def _layout(learner: Td3Learner):
         f"n_updates {learner.n_updates}",
         "rng " + json.dumps(learner.update_rng.bit_generator.state),
     ]
-    return header, [net.flat for net in nets.values()], opts
-
-
-def _moments(opts: List[Adam]) -> List[np.ndarray]:
-    return [a for opt in opts for a in (opt.m, opt.v)]
+    arrays = [net.flat for net in nets.values()] + [a for opt in opts for a in (opt.m, opt.v)]
+    return header, arrays, opts
 
 
 def save_checkpoint(path, learner: Td3Learner) -> None:
-    header, flats, opts = _layout(learner)
+    header, arrays, _ = _layout(learner)
     with open(path, "wb") as f:
         f.write("\n".join(header).encode("ascii") + _HEADER_END)
-        for a in flats + _moments(opts):
+        for a in arrays:
             f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
 
 
-def _counts(text: str, n: int) -> List[int]:
-    """n non-negative integers, comma-separated, exactly as the writer prints them."""
-    values = [int(v) for v in text.split(",")]
-    if len(values) != n or min(values) < 0 or ",".join(str(v) for v in values) != text:
+def _count(text: str) -> int:
+    """A non-negative integer. The header comparison refuses any spelling the writer would not print."""
+    value = int(text)
+    if value < 0:
         raise ValueError(text)
-    return values
+    return value
 
 
 def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
@@ -417,10 +414,11 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
         return Td3Learner(learner_hp, seed=0, obs_dim=dims[0], action_dim=dims[-1])
 
     learner = need("dims.actor", build)
-    _, flats, opts = _layout(learner)
-    for opt, t in zip(opts, need("adam_t", lambda text: _counts(text, len(opts)))):
+    _, arrays, opts = _layout(learner)
+    # A wrong count of adam_t values leaves a line the header comparison below refuses.
+    for opt, t in zip(opts, need("adam_t", lambda text: [_count(v) for v in text.split(",")])):
         opt.t = t
-    (learner.n_updates,) = need("n_updates", lambda text: _counts(text, 1))
+    learner.n_updates = need("n_updates", _count)
     need("rng", lambda text: setattr(learner.update_rng.bit_generator, "state", json.loads(text)))
     # The writer's header for this learner must be the file's, line for line.
     for n, (got, want) in enumerate(zip_longest(lines, _layout(learner)[0]), 1):
@@ -429,14 +427,14 @@ def load_checkpoint(path, hp: Optional[Td3Hyperparams] = None) -> Td3Learner:
             raise CheckpointFormatError(f"{path}: malformed {key!r} value in header line {n}: "
                                         f"{got!r}, expected {want!r}")
 
-    arrays = flats + _moments(opts)
     expected = 4 * sum(a.size for a in arrays)
     if len(payload) != expected:
         raise CheckpointFormatError(f"{path}: payload is {len(payload)} bytes, header promises {expected}")
+    values = np.frombuffer(payload, dtype="<f4")
     offset = 0
     for a in arrays:
-        a[:] = np.frombuffer(payload, dtype="<f4", count=a.size, offset=offset)
-        offset += 4 * a.size
+        a[:] = values[offset : offset + a.size]
+        offset += a.size
     return learner
 
 

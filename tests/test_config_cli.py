@@ -469,8 +469,45 @@ class TestCliExitCodes:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_rerun_into_a_used_run_directory_is_usage_error_before_any_output(self, tmp_path, capsys):
+        # A second run would leave the first one's traces beside its own trials.csv.
+        run = tmp_path / "benchmark_s2"
+        run.mkdir()  # an empty run directory is used
+        base = ["benchmark", "--baseline", "--seed", "2", "-o", f"outdir={tmp_path}"]
+        assert main(base + ["--scenario", "LMPL", "--trials", "3"]) == 0
+        files = {path: path.read_bytes() for path in run.rglob("*") if path.is_file()}
+        assert run / "traces" / "LMPL_EkfPid_02.csv" in files
+        capsys.readouterr()
+        assert main(base + ["--scenario", "SPL", "--trials", "1"]) == 2
+        captured = capsys.readouterr()
+        assert f"run directory {run} exists and is not empty" in captured.err
+        assert captured.out == ""
+        assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
+
 
 class TestCliCommands:
+    # train's --seed, --scenario and --total-steps are other spellings of their keys, applied after every -o.
+    @pytest.mark.parametrize("flags, resolved", [
+        (["--seed", "7", "--scenario", "cmpl", "--total-steps", "3"],
+         {"seed": "7", "scenario_params.kind": "CMPL", "td3.total_steps": "3"}),
+        (["--seed", "7", "--scenario", "lmpl", "--total-steps", "3",
+          "-o", "seed=4", "-o", "scenario_params.kind=CTL", "-o", "td3.total_steps=9"],
+         {"seed": "7", "scenario_params.kind": "LMPL", "td3.total_steps": "3"}),
+        (["--scenario", "", "--total-steps", "3"], None),
+    ], ids=["each-flag", "flag-beats-override", "empty-scenario"])
+    def test_train_key_flags_set_their_keys(self, tmp_path, monkeypatch, capsys, flags, resolved):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["train", *flags, "-o", f"outdir={tmp_path / 'runs'}"])
+        if resolved is None:
+            assert rc == 2
+            assert "bad value for scenario_params.kind" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+            return
+        assert rc == 0
+        text = (tmp_path / "runs" / f"train_s{resolved['seed']}" / "resolved.cfg").read_text()
+        values = dict(line.split(" = ") for line in text.splitlines())
+        assert {key: values[key] for key in resolved} == resolved
+
     def test_config_dump_applies_overrides(self, capsys):
         rc = main(["config-dump", "-o", "reward.alpha=9.5", "--seed", "4"])
         assert rc == 0

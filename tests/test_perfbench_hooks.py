@@ -24,7 +24,6 @@ def test_learner_state_is_the_checkpoint_layout(monkeypatch):
     workloads = importlib.import_module("workloads")
     learner = td3.Td3Learner(td3.Td3Hyperparams(hidden_dims=(4,)), seed=0)
     arrays, _ = workloads.learner_state(learner)
-    _, flats, opts = td3._layout(learner)
-    layout = flats + [a for opt in opts for a in (opt.m, opt.v)]
+    _, layout, _ = td3._layout(learner)
     assert len(arrays) == len(layout) == 12
     assert all(a is b for a, b in zip(arrays, layout))

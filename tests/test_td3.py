@@ -171,14 +171,16 @@ class TestCheckpoint:
         d2 = loaded.update(batch)
         assert d1 == d2
 
-    def test_corrupt_payload_rejected(self, tmp_path):
-        hp = Td3Hyperparams(**SMALL)
-        learner = Td3Learner(hp, seed=13)
+    @pytest.mark.parametrize("change", [-100, -1, 1, 4],
+                             ids=["truncated", "one-byte-short", "one-byte-long", "one-float-long"])
+    def test_corrupt_payload_rejected(self, tmp_path, change):
         path = tmp_path / "ckpt.bin"
-        save_checkpoint(path, learner)
+        save_checkpoint(path, Td3Learner(Td3Hyperparams(**SMALL), seed=13))
         blob = path.read_bytes()
-        path.write_bytes(blob[:-100])  # truncate payload
-        with pytest.raises(CheckpointFormatError):
+        promised = len(blob) - blob.index(b"\n---\n") - len(b"\n---\n")
+        path.write_bytes(blob[:change] if change < 0 else blob + bytes(change))
+        with pytest.raises(CheckpointFormatError,
+                           match=f"payload is {promised + change} bytes, header promises {promised}$"):
             load_checkpoint(path)
 
     def test_load_leaves_caller_hyperparams_alone(self, tmp_path):
@@ -302,8 +304,7 @@ class TestCheckpoint:
         learner = Td3Learner(Td3Hyperparams(hidden_dims=tuple(hidden)), seed=seed,
                              obs_dim=obs_dim, action_dim=action_dim)
         fill = np.random.default_rng(seed)
-        _, flats, opts = _layout(learner)
-        arrays = flats + [a for opt in opts for a in (opt.m, opt.v)]
+        _, arrays, opts = _layout(learner)
         for a in arrays:  # every float32 bit pattern, NaNs included
             a[:] = fill.integers(0, 2**32, a.size, dtype=np.uint32).view(np.float32)
         for opt in opts:
@@ -314,8 +315,8 @@ class TestCheckpoint:
             path = Path(d) / "ckpt.bin"
             save_checkpoint(path, learner)
             loaded = load_checkpoint(path)
-        _, loaded_flats, loaded_opts = _layout(loaded)
-        for a, b in zip(arrays, loaded_flats + [a for opt in loaded_opts for a in (opt.m, opt.v)], strict=True):
+        _, loaded_arrays, loaded_opts = _layout(loaded)
+        for a, b in zip(arrays, loaded_arrays, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert [opt.t for opt in loaded_opts] == [opt.t for opt in opts]
         assert loaded.n_updates == learner.n_updates

@@ -4,11 +4,14 @@ tools/update_timing.py reads td3._worker and td3._NETS, so a rename of either
 shows here.
 """
 
+import importlib
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,6 +35,39 @@ def test_loc_counts_every_module_and_both_totals():
     assert re.fullmatch(r" *\d+  tests total", tests_total)
     assert int(src_total.split()[0]) == sum(int(line.split()[0]) for line in src_lines)
     assert int(tests_total.split()[0]) == sum(int(line.split()[0]) for line in test_lines)
+
+
+# git's empty tree: a revision at which no file exists, in any repository.
+EMPTY_TREE = "4b825dc642cb6eb9a060e54bf8d69288fbee4904"
+
+
+@pytest.mark.parametrize("rev", ["HEAD", EMPTY_TREE], ids=["HEAD", "empty-tree"])
+def test_loc_compares_a_revision_with_the_working_tree(rev):
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    now = dict(reversed(line.split(maxsplit=1)) for line in run_tool("loc.py"))
+    rows = [re.fullmatch(r" *(\d+) +(\d+) +([+-]\d+)  (.+)", line) for line in run_tool("loc.py", rev)]
+    assert all(rows)
+    rows = [(int(m[1]), int(m[2]), int(m[3]), m[4]) for m in rows]
+    # Every file and total of the plain count with its working-tree count; a file only at rev counts 0 here.
+    assert set(now) <= {name for *_, name in rows}
+    for then, tree, delta, name in rows:
+        assert tree == int(now.get(name, 0))
+        assert delta == tree - then
+        assert then == 0 or rev != EMPTY_TREE
+    src_end = [name for *_, name in rows].index("total")
+    for part in (rows[:src_end + 1], rows[src_end + 1:]):
+        assert part[-1][0] == sum(then for then, *_ in part[:-1])
+
+
+def test_loc_counts_a_file_missing_from_the_working_tree_as_zero(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    loc = importlib.import_module("loc")
+    monkeypatch.setattr(loc, "counts_at", lambda rev, tree: {"gone.py": 5})
+    monkeypatch.setattr(sys, "argv", ["loc.py", "REV"])
+    loc.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines.count("     5     0     -5  gone.py") == 2
 
 
 def test_update_timing_reports_both_update_kinds_and_a_digest():
