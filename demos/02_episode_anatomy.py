@@ -77,5 +77,5 @@ print("same first step:", np.array_equal(env.step(a).observation, env2.step(a).o
 
 # %% [markdown]
 # Episode traces (drone, pad, wind, reward per step) can be written as CSV
-# with `write_trace` and summarized/downsampled from the command line with
-# `padlander replay <trace.csv>`.
+# with `padlander.evaluation.write_trace` and summarized/downsampled from
+# the command line with `padlander replay <trace.csv>`.

@@ -38,8 +38,7 @@ env = LandingEnv(ScenarioSpec(ScenarioKind.SPL), EnvConfig(wind_enabled=False))
 ep = run_baseline_episode(env, seed=3)
 for k in range(0, len(ep.outcomes), 20):
     out = ep.outcomes[k]
-    est = np.array([float(v) for v in ep.estimator_rows[k].split(",")[:3]])
-    err = np.linalg.norm(est - out.pad.position)
+    err = np.linalg.norm(ep.estimator_rows[k][:3] - out.pad.position)
     print(f"t={out.t:5.2f}s  altitude={out.drone.position[2]:+.3f} m  "
           f"estimate error={err * 1000:6.2f} mm")
 last = ep.outcomes[-1]

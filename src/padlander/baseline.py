@@ -249,11 +249,10 @@ def pursuit_command(
 @dataclass
 class BaselineEpisode:
     outcomes: List[StepOutcome]
-    estimator_rows: list  # per-step "est_x,...,est_vz" strings
+    estimator_rows: list  # estimator_rows[k] is step k's updated EKF estimate x, in ESTIMATOR_COLUMNS order
 
 
 ESTIMATOR_COLUMNS = "est_x,est_y,est_z,est_vx,est_vy,est_vz"
-_ESTIMATOR_ROW = ",".join(["%.9g"] * 6)
 
 
 def run_baseline_episode(
@@ -287,6 +286,6 @@ def run_baseline_episode(
         drone = out.drone
         ekf = ekf_update(ekf, out.pad.position + normal(0.0, sigma, size=3))
         outcomes.append(out)
-        est_rows.append(_ESTIMATOR_ROW % tuple(ekf.x.tolist()))
+        est_rows.append(ekf.x)  # ekf_update returns a fresh x, so the row needs no copy
         terminal = out.terminal
     return BaselineEpisode(outcomes, est_rows)

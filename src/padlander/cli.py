@@ -12,11 +12,11 @@ import os
 import sys
 
 from padlander.config import KEYS, ConfigError, RunConfig, apply_item, dump_config, load_config, read_text
-from padlander.environment import TRACE_COLUMNS, LandingEnv
-from padlander.evaluation import Controller, report_text, run_benchmark, write_report
-from padlander.reward import write_surface_csv
+from padlander.environment import LandingEnv
+from padlander.evaluation import (TRACE_COLUMNS, Controller, report_text, run_benchmark, write_curve_csv, write_report,
+                                  write_surface_csv)
 from padlander.scenario import ScenarioKind
-from padlander.td3 import ACTION_DIM, OBS_DIM, load_checkpoint, save_checkpoint, train, write_curve_csv
+from padlander.td3 import ACTION_DIM, OBS_DIM, load_checkpoint, save_checkpoint, train
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
@@ -46,7 +46,10 @@ def _run_dir(cfg: RunConfig, label: str) -> str:
     path = os.path.join(cfg.outdir, f"{label}_s{cfg.seed}")
     if os.path.isdir(path) and os.listdir(path):
         raise ConfigError(f"run directory {path} exists and is not empty; pass a fresh -o outdir=")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:  # a file stands where the path needs a directory
+        raise ConfigError(f"cannot make run directory {path}: {e.strerror}; pass a fresh -o outdir=") from None
     with open(os.path.join(path, "resolved.cfg"), "w") as f:
         f.write(dump_config(cfg))
     return path
@@ -200,11 +203,12 @@ def cmd_config_dump(args) -> int:
     return 0
 
 
-def _add_common(p):
+def _add_common(p, seed=True):
     p.add_argument("--config", help="flat-text config file (section.key = value)")
     p.add_argument("-o", "--override", action="append", metavar="KEY=VALUE",
                    help="config override, repeatable")
-    p.add_argument("--seed", type=int)
+    if seed:
+        p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("reward-surface", help="export the reward-surface grid CSV")
-    _add_common(p)
+    p = sub.add_parser("reward-surface", help="export the reward-surface grid CSV",
+                       description="Export the reward-surface grid CSV. It draws no random numbers: no --seed.")
+    _add_common(p, seed=False)
     p.add_argument("--z", type=float, default=0.0, help="relative altitude of the slice")
     p.add_argument("--range", type=float, default=3.0, help="half-width of the XY grid (m)")
     p.add_argument("--res", type=int, default=101, help="grid points per axis")

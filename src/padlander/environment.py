@@ -237,44 +237,3 @@ class LandingEnv:
         self.drone = drone
         observation = build_observation(drone, pad)
         return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind_force)
-
-
-TRACE_COLUMNS = (
-    "t,px,py,pz,vx,vy,vz,roll,pitch,yaw,ax,ay,az,"
-    "pad_x,pad_y,pad_z,pad_vx,pad_vy,pad_vz,fx,fy,fz,reward,terminal"
-)
-
-
-# Every numeric trace column, then the terminal name.
-_TRACE_ROW = "%.9g," * TRACE_COLUMNS.count(",") + "%s"
-
-
-def trace_row(outcome: StepOutcome) -> str:
-    """One trace CSV row for a step outcome."""
-    d = outcome.drone
-    p = outcome.pad
-    return _TRACE_ROW % (
-        outcome.t,
-        *d.position.tolist(),
-        *d.velocity.tolist(),
-        *d.attitude.tolist(),
-        *outcome.action.tolist(),
-        *p.position.tolist(),
-        *p.velocity.tolist(),
-        *outcome.wind_force.tolist(),
-        outcome.reward.total,
-        outcome.terminal.value,
-    )
-
-
-def write_trace(path, outcomes, extra_header: str = "", extra_rows=None) -> None:
-    """Write an episode trace CSV; extra columns (e.g. estimator state) optional."""
-    header = TRACE_COLUMNS + ("," + extra_header if extra_header else "")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for k, out in enumerate(outcomes):
-            row = trace_row(out)
-            if extra_rows is not None:
-                row += "," + extra_rows[k]
-            fh.write(row + "\n")
-

@@ -10,6 +10,10 @@ Reported metric families:
   velocity correlation  Pearson correlation of per-step drone and pad speed
                     magnitudes over the approach; undefined when either
                     series has zero variance (e.g. a static pad)
+
+Every CSV file the package writes is made here: episode traces, the
+training curve, the reward surface and the report tables. A float cell
+holds 9 significant digits.
 """
 
 import enum
@@ -24,10 +28,11 @@ import numpy as np
 from padlander.baseline import ESTIMATOR_COLUMNS, FilterDivergenceError, run_baseline_episode
 from padlander.config import RunConfig
 from padlander.dynamics import ActionBoundError, StateCorruptionError
-from padlander.environment import ActionRangeError, LandingEnv, Terminal, write_trace
+from padlander.environment import ActionRangeError, LandingEnv, Terminal
+from padlander.reward import RewardConfig, reward_surface_grid
 from padlander.rng import substream
 from padlander.scenario import ScenarioKind
-from padlander.td3 import Td3Learner, run_agent_episode
+from padlander.td3 import CurvePoint, Td3Learner, run_agent_episode
 
 
 # A controller that hits one of these ends its trial as a Crash; any other
@@ -189,13 +194,13 @@ def run_benchmark(
         for controller in controllers:
             trials = []
             for i, trial_seed in enumerate(trial_seeds[kind].tolist()):
-                estimator = ()
+                estimates = None
                 try:
                     if controller is Controller.AGENT:
                         outcomes = run_agent_episode(learner, env, trial_seed)
                     else:
                         ep = run_baseline_episode(env, trial_seed, cfg.baseline, cfg.pid)
-                        outcomes, estimator = ep.outcomes, (ESTIMATOR_COLUMNS, ep.estimator_rows)
+                        outcomes, estimates = ep.outcomes, ep.estimator_rows
                     trial = _trial_from_outcomes(kind, controller, trial_seed, outcomes, wind)
                 except CONTROLLER_FAILURES as e:
                     trial = TrialResult(kind, controller, trial_seed, Terminal.CRASH, None, 0.0, None, wind)
@@ -204,13 +209,13 @@ def run_benchmark(
                 trials.append(trial)
                 if trace_dir and outcomes:
                     write_trace(os.path.join(trace_dir, f"{kind.value}_{controller.value}_{i:02d}.csv"),
-                                outcomes, *estimator)
+                                outcomes, ESTIMATOR_COLUMNS, estimates)
             report.trials.extend(trials)
             report.groups.append(_group_stats(kind, controller, trials))
     return report
 
 
-# -- report emission -------------------------------------------------------
+# -- report and CSV emission ----------------------------------------------
 
 
 def _fmt(v, nd=4):
@@ -244,23 +249,24 @@ def _cell(v) -> str:
     return f"{v:.9g}" if isinstance(v, float) else str(v)
 
 
+def _csv_lines(header: str, rows):
+    """The header line, then one line per row of values, each through _cell."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(_cell, row)) + "\n"
+
+
 def report_csv(report: BenchmarkReport) -> str:
     names = [f.name for f in fields(GroupStats)]
-    out = [",".join(names)]
-    for g in report.groups:
-        out.append(",".join(_cell(getattr(g, name)) for name in names))
-    return "\n".join(out) + "\n"
+    return "".join(_csv_lines(",".join(names), ([getattr(g, name) for name in names] for g in report.groups)))
 
 
 def trials_csv(report: BenchmarkReport) -> str:
-    cols = "scenario,controller,seed,terminal,lateral_error,duration,velocity_correlation,wind"
-    out = [cols]
-    for t in report.trials:
-        out.append(",".join(_cell(v) for v in (
-            t.scenario.value, t.controller.value, t.seed, t.terminal.value, t.touchdown_lateral_error,
-            t.duration, t.velocity_correlation, int(t.wind_enabled),
-        )))
-    return "\n".join(out) + "\n"
+    return "".join(_csv_lines(
+        "scenario,controller,seed,terminal,lateral_error,duration,velocity_correlation,wind",
+        ((t.scenario.value, t.controller.value, t.seed, t.terminal.value, t.touchdown_lateral_error,
+          t.duration, t.velocity_correlation, int(t.wind_enabled)) for t in report.trials),
+    ))
 
 
 def report_json(report: BenchmarkReport) -> str:
@@ -277,3 +283,61 @@ def write_report(outdir: str, report: BenchmarkReport) -> None:
                          ("report.json", report_json), ("trials.csv", trials_csv)):
         with open(os.path.join(outdir, name), "w") as f:
             f.write(render(report))
+
+
+def write_curve_csv(path, curve: List[CurvePoint]) -> None:
+    with open(path, "w") as f:
+        f.writelines(_csv_lines("step,mean_reward,mean_ep_len,success_rate",
+                                ((p.step, p.mean_reward, p.mean_ep_len, p.success_rate) for p in curve)))
+
+
+def write_surface_csv(path, z_slice: float, xy_range: float, resolution: int, cfg: RewardConfig) -> int:
+    """Write reward_surface_grid's breakdowns as CSV, one row per grid point; returns the row count."""
+    xs, ys, grid = reward_surface_grid(z_slice, xy_range, resolution, cfg)
+    with open(path, "w") as f:
+        f.writelines(_csv_lines("x,y,z,total,case,u_att,u_rep,beta,delta", (
+            (x, y, z_slice, b.total, b.case_id.value, b.u_attractive, b.u_repulsive, b.beta_term, b.delta_term)
+            for y, row in zip(ys, grid) for x, b in zip(xs, row))))
+    return len(xs) * len(ys)
+
+
+TRACE_COLUMNS = (
+    "t,px,py,pz,vx,vy,vz,roll,pitch,yaw,ax,ay,az,"
+    "pad_x,pad_y,pad_z,pad_vx,pad_vy,pad_vz,fx,fy,fz,reward,terminal"
+)
+
+
+# Every numeric trace column, then the terminal name. Trace rows are the high-volume
+# path, so a row is one % of a template, not a _cell call per value.
+_TRACE_ROW = "%.9g," * TRACE_COLUMNS.count(",") + "%s"
+
+
+def write_trace(path, outcomes, extra_header: str = "", extra_rows=None) -> None:
+    """Write an episode trace CSV, one row per step outcome.
+
+    With extra_rows, extra_header names extra numeric columns, comma-separated, and
+    extra_rows[k] holds step k's values of them: e.g. baseline.ESTIMATOR_COLUMNS and
+    a BaselineEpisode's estimator_rows. Without extra_rows, extra_header is not read.
+    """
+    header, row, extras = TRACE_COLUMNS, _TRACE_ROW + "\n", [()] * len(outcomes)
+    if extra_rows is not None:
+        header += "," + extra_header
+        row = _TRACE_ROW + ",%.9g" * (extra_header.count(",") + 1) + "\n"
+        extras = np.asarray(extra_rows, dtype=float).tolist()
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for out, extra in zip(outcomes, extras, strict=True):
+            d, p = out.drone, out.pad
+            fh.write(row % (
+                out.t,
+                *d.position.tolist(),
+                *d.velocity.tolist(),
+                *d.attitude.tolist(),
+                *out.action.tolist(),
+                *p.position.tolist(),
+                *p.velocity.tolist(),
+                *out.wind_force.tolist(),
+                out.reward.total,
+                out.terminal.value,
+                *extra,
+            ))

@@ -163,17 +163,3 @@ def reward_surface_grid(
             row.append(compute_reward(rel, zero, d, None, False, False, cfg))
         grid.append(row)
     return xs, ys, grid
-
-
-def write_surface_csv(path, z_slice: float, xy_range: float, resolution: int, cfg: RewardConfig) -> int:
-    """Write the grid as CSV (header x,y,z,total,case,u_att,u_rep,beta,delta); returns row count."""
-    xs, ys, grid = reward_surface_grid(z_slice, xy_range, resolution, cfg)
-    with open(path, "w") as f:
-        f.write("x,y,z,total,case,u_att,u_rep,beta,delta\n")
-        for y, row in zip(ys, grid):
-            for x, b in zip(xs, row):
-                f.write(
-                    f"{x:.9g},{y:.9g},{z_slice:.9g},{b.total:.9g},{b.case_id.value},"
-                    f"{b.u_attractive:.9g},{b.u_repulsive:.9g},{b.beta_term:.9g},{b.delta_term:.9g}\n"
-                )
-    return len(xs) * len(ys)

@@ -537,10 +537,3 @@ def train(
         if checkpoint_sink and hp.checkpoint_interval and step % hp.checkpoint_interval == 0:
             checkpoint_sink(step, learner)
     return result
-
-
-def write_curve_csv(path, curve: List[CurvePoint]) -> None:
-    with open(path, "w") as f:
-        f.write("step,mean_reward,mean_ep_len,success_rate\n")
-        for p in curve:
-            f.write(f"{p.step},{p.mean_reward:.9g},{p.mean_ep_len:.9g},{p.success_rate:.9g}\n")

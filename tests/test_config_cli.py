@@ -18,7 +18,7 @@ from padlander.config import (
     load_config,
     parse_config_text,
 )
-from padlander.environment import TRACE_COLUMNS
+from padlander.evaluation import TRACE_COLUMNS
 from padlander.scenario import ScenarioKind
 from padlander.td3 import ACTION_DIM, OBS_DIM, Td3Hyperparams, Td3Learner, save_checkpoint
 
@@ -483,6 +483,31 @@ class TestCliExitCodes:
         assert f"run directory {run} exists and is not empty" in captured.err
         assert captured.out == ""
         assert {path: path.read_bytes() for path in run.rglob("*") if path.is_file()} == files
+
+    @pytest.mark.parametrize("blocker", ["runs/benchmark_s0", "runs"], ids=["run-directory-is-a-file", "outdir-is-a-file"])
+    def test_file_in_the_run_directorys_place_is_usage_error_before_any_output(self, tmp_path, capsys, blocker):
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("kept\n")
+        rc = main(["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1", "-o", f"outdir={tmp_path / 'runs'}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"cannot make run directory {tmp_path / 'runs' / 'benchmark_s0'}" in captured.err
+        assert captured.out == ""
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == sorted({"runs", blocker})
+        assert (tmp_path / blocker).read_text() == "kept\n"
+
+    def test_reward_surface_takes_no_seed(self, tmp_path, monkeypatch, capsys):
+        # The grid draws no random numbers, so a seed would change nothing.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["reward-surface", "--res", "2", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(SystemExit) as exc:
+            main(["reward-surface", "--help"])
+        assert exc.value.code == 0
+        assert "draws no random numbers" in " ".join(capsys.readouterr().out.split())
 
 
 class TestCliCommands:

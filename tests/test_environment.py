@@ -10,10 +10,8 @@ from padlander.environment import (
     StepOutcome,
     Terminal,
     build_observation,
-    trace_row,
-    write_trace,
-    TRACE_COLUMNS,
 )
+from padlander.evaluation import TRACE_COLUMNS, write_trace
 from padlander.rng import substream
 from padlander.scenario import PlatformState, ScenarioKind, ScenarioSpec, platform_at
 
@@ -233,12 +231,13 @@ class TestTrace:
         assert len(first) == len(TRACE_COLUMNS.split(","))
         assert first[-1] == "None"
 
-    def test_trace_row_matches_fstring_join(self):
-        def by_fstring(outcome):
+    def test_trace_row_matches_fstring_join(self, tmp_path):
+        def by_fstring(outcome, extra):
             d, p = outcome.drone, outcome.pad
             vals = [outcome.t, *d.position, *d.velocity, *d.attitude, *outcome.action, *p.position, *p.velocity,
                     *outcome.wind_force, outcome.reward.total]
-            return ",".join(f"{v:.9g}" for v in vals) + f",{outcome.terminal.value}"
+            return (",".join(f"{v:.9g}" for v in vals) + f",{outcome.terminal.value}"
+                    + "".join(f",{v:.9g}" for v in extra) + "\n")
 
         env = make_env(ScenarioKind.CTL, wind_p_episode=1.0, wind_p_step=0.5)
         env.reset(4)
@@ -251,5 +250,20 @@ class TestTrace:
         drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3), np.zeros(3))
         outs.append(outs[0]._replace(terminal=Terminal.CRASH, t=1.0 / 3.0, drone=drone,
                                      action=np.array([1.0, -1.0, -0.0])))
-        for out in outs:
-            assert trace_row(out) == by_fstring(out)
+        write_trace(tmp_path / "trace.csv", outs)
+        assert (tmp_path / "trace.csv").read_text() == TRACE_COLUMNS + "\n" + "".join(
+            by_fstring(out, ()) for out in outs)
+        # Extra columns, such as the baseline's estimates, go through the same template.
+        extra = [rng.normal(size=6) * 10.0 ** rng.uniform(-12, 12, 6) for _ in outs[:-2]]
+        extra += [np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]),
+                  np.array([1e16, -1e-16, 0.1, 123456789.0, 1234567890123.0, 1.0 / 3.0])]
+        write_trace(tmp_path / "extra.csv", outs, "e0,e1,e2,e3,e4,e5", extra)
+        assert (tmp_path / "extra.csv").read_text() == TRACE_COLUMNS + ",e0,e1,e2,e3,e4,e5\n" + "".join(
+            by_fstring(out, e) for out, e in zip(outs, extra))
+
+    def test_extra_rows_must_match_the_outcomes(self, tmp_path):
+        env = make_env()
+        env.reset(2)
+        outs = [env.step(np.zeros(3)) for _ in range(3)]
+        with pytest.raises(ValueError):
+            write_trace(tmp_path / "trace.csv", outs, "e0", [[1.0], [2.0]])

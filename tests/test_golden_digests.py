@@ -21,9 +21,9 @@ import padlander
 from padlander.cli import main
 from padlander.config import RunConfig
 from padlander.environment import EnvConfig, LandingEnv
-from padlander.evaluation import Controller, run_benchmark, write_report
+from padlander.evaluation import Controller, run_benchmark, write_curve_csv, write_report
 from padlander.scenario import ScenarioKind, ScenarioSpec
-from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint, train, write_curve_csv
+from padlander.td3 import Td3Hyperparams, Td3Learner, save_checkpoint, train
 
 GOLDEN = {
     "report.csv": "98c29b0afcf7cef953defe9226f72519260ea9cc95b956876758e2140c9d6e5a",

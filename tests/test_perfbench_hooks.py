@@ -27,3 +27,23 @@ def test_learner_state_is_the_checkpoint_layout(monkeypatch):
     _, layout, _ = td3._layout(learner)
     assert len(arrays) == len(layout) == 12
     assert all(a is b for a, b in zip(arrays, layout))
+
+
+def test_baseline_traces_call_writes_the_benchmark_trace(tmp_path):
+    # perfbench's baseline-traces writes each trace with the evaluation.write_trace call below,
+    # on an env built from ScenarioSpec(kind) alone; it must write run_benchmark's bytes for the seed.
+    from padlander import evaluation
+    from padlander.baseline import ESTIMATOR_COLUMNS, PidController, run_baseline_episode
+    from padlander.config import RunConfig
+    from padlander.environment import LandingEnv
+    from padlander.scenario import ScenarioKind, ScenarioSpec
+
+    trace_dir = tmp_path / "benchmark"
+    report = evaluation.run_benchmark(list(ScenarioKind), [evaluation.Controller.EKF_PID], 1, cfg=RunConfig(seed=5),
+                                      trace_dir=str(trace_dir))
+    assert [t.scenario for t in report.trials] == list(ScenarioKind)
+    for trial in report.trials:
+        ep = run_baseline_episode(LandingEnv(ScenarioSpec(trial.scenario)), trial.seed, None, PidController())
+        path = tmp_path / f"{trial.scenario.value}.csv"
+        evaluation.write_trace(path, ep.outcomes, ESTIMATOR_COLUMNS, ep.estimator_rows)
+        assert path.read_bytes() == (trace_dir / f"{trial.scenario.value}_EkfPid_00.csv").read_bytes()
