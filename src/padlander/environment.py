@@ -8,13 +8,24 @@ and classifies touchdown / crash / out-of-bounds / timeout.
 The 15-component observation is, in order: attitude (3), linear velocity (3),
 angular velocity (3), pad position relative to the drone (3), pad velocity
 relative to the drone (3); each component clipped to its bound and divided
-by it, so the observation lives in [-1, 1]^15.
+by it, so the observation lives in [-1, 1]^15. reset() returns it; a step
+does not build it: StepOutcome.observation builds it from the outcome's
+drone and pad each time it is read, so the EKF+PID loop, which never reads
+it, never pays for it.
+
+build_observation's finiteness check thus runs only where the observation
+is read, but every step's state is still checked. On entry, step_drone_many's
+probe rejects a non-finite drone state or wind force with
+StateCorruptionError. After the step, compute_reward rejects a non-finite
+relative position or velocity with ValueError. Attitude and angular
+velocity come from finite inputs through atan2 and a division by dt > 0,
+so they are finite too.
 
 Inside a step, 3-vector math runs on Python floats read with tolist(), and
 numpy arrays are built once, where a record (DroneState, PlatformState,
-StepOutcome, the observation) holds them: on 3-vectors, numpy's per-call
-dispatch costs more than the arithmetic. Elementwise + - * / and
-dynamics.clamp give the same bits either way.
+StepOutcome) holds them: on 3-vectors, numpy's per-call dispatch costs more
+than the arithmetic. Elementwise + - * / and dynamics.clamp give the same
+bits either way.
 """
 
 import enum
@@ -106,7 +117,6 @@ def build_observation(drone: DroneState, pad: PlatformState) -> np.ndarray:
 class StepOutcome(NamedTuple):
     """What one control step produced; t, drone and pad are post-step."""
 
-    observation: np.ndarray
     reward: RewardBreakdown
     terminal: Terminal
     t: float  # s since reset
@@ -114,6 +124,11 @@ class StepOutcome(NamedTuple):
     pad: PlatformState
     action: np.ndarray  # the clamped normalized action that was applied
     wind_force: np.ndarray  # N, applied during this step
+
+    @property
+    def observation(self) -> np.ndarray:
+        """build_observation(drone, pad), built afresh on each read: read it once per step."""
+        return build_observation(self.drone, self.pad)
 
 
 class LandingEnv:
@@ -235,5 +250,4 @@ class LandingEnv:
 
         self._terminal = terminal = self._classify(rel_xyz, rel_v.tolist(), d, t)
         self.drone = drone
-        observation = build_observation(drone, pad)
-        return StepOutcome(observation, reward, terminal, t, drone, pad, a, wind_force)
+        return StepOutcome(reward, terminal, t, drone, pad, a, wind_force)

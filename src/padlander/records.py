@@ -12,7 +12,9 @@ it. They are immutable, read their fields through C getters and hold no
 per-instance ``__dict__``. Being tuples, they index and unpack, and compare
 equal to any tuple with the same values. ``dataclasses.fields`` and
 ``replace`` do not apply to them; ``_fields`` and ``_replace`` do.
-Assigning a field raises ``AttributeError``.
+Assigning a field raises ``AttributeError``. ``StepOutcome.observation`` is
+not a field and not a C getter but a Python property: each read builds a
+fresh array from the outcome's drone and pad.
 """
 
 import dataclasses

@@ -514,8 +514,9 @@ def train(
         out = env.step(action)
         # Timeout is a time-limit artifact, not an absorbing state: bootstrap it.
         absorbing = out.terminal in (Terminal.TOUCHDOWN, Terminal.CRASH, Terminal.OUT_OF_BOUNDS)
-        buffer.add(obs, action, out.reward.total, out.observation, absorbing)
-        obs = out.observation
+        next_obs = out.observation
+        buffer.add(obs, action, out.reward.total, next_obs, absorbing)
+        obs = next_obs
         if out.terminal is not Terminal.NONE:
             result.episodes += 1
             obs = env.reset(int(episode_rng.integers(2**31 - 1)))

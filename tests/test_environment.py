@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState
+from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import (
     ActionRangeError,
     EnvConfig,
@@ -131,12 +131,38 @@ class TestStep:
         env = make_env()
         env.reset(0)
         out = env.step(np.array([1.0 + 1e-7, -0.5, 0.0]))
-        assert StepOutcome._fields == ("observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force")
+        assert StepOutcome._fields == ("reward", "terminal", "t", "drone", "pad", "action", "wind_force")
         assert np.array_equal(out.action, [1.0, -0.5, 0.0])  # the clamped action
         assert out.drone is env.drone
         assert out.t == env.control_dt
         with pytest.raises(AttributeError):
             out.t = 0.0
+
+    @pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+    def test_observation_is_built_from_drone_and_pad_on_each_read(self, kind):
+        env = make_env(kind, wind_p_episode=1.0)
+        env.reset(6)
+        rng = np.random.default_rng(6)
+        out = None
+        while out is None or out.terminal is Terminal.NONE:
+            out = env.step(rng.uniform(-1, 1, 3))
+            obs = out.observation
+            assert obs.tobytes() == build_observation(out.drone, out.pad).tobytes()
+            assert obs.dtype == np.float64 and obs.shape == (15,)
+        # A fresh array per read: writing into one read leaves the next alone.
+        first = out.observation
+        first[:] = 7.0
+        assert out.observation.tobytes() == build_observation(out.drone, out.pad).tobytes()
+        with pytest.raises(AttributeError):
+            out.observation = first
+
+    def test_observation_of_a_corrupt_state_raises(self):
+        env = make_env()
+        env.reset(0)
+        out = env.step(np.zeros(3))
+        bad = out._replace(drone=out.drone._replace(velocity=np.array([0.0, np.nan, 0.0])))
+        with pytest.raises(StateCorruptionError):
+            bad.observation
 
     @pytest.mark.parametrize("action", [[np.nan, 5.0, 0.0], [np.nan, 0.0, 0.0]])
     def test_nan_action_is_range_error(self, action):

@@ -5,8 +5,9 @@ of the numpy code it replaced: PID and pursuit, platform_at, the observation,
 the action check and clamp, and the wind draw. The cases include signed
 zeros, NaN, ties at the clamp bounds, actions at +-(1 + 1e-6) and reversed
 CMPL arcs. The last tests check that the hot records stay immutable named
-tuples and that a baseline episode still crosses every boundary the traced
-benchmark wraps.
+tuples, that a baseline episode still crosses every boundary the traced
+benchmark wraps, and that each loop builds the observation only where it
+reads it.
 """
 
 import importlib
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 import padlander.baseline as baseline
 import padlander.environment as environment
 import padlander.scenario as scenario
+import padlander.td3 as td3
 from padlander.baseline import EkfState, PidController, PidState, PursuitConfig, pursuit_command, run_baseline_episode
 from padlander.dynamics import SETPOINT_DELTA_BOUND, DroneState, StateCorruptionError
 from padlander.environment import OBS_BOUNDS, ActionRangeError, EnvConfig, LandingEnv, StepOutcome, build_observation
@@ -455,9 +457,8 @@ RECORDS = {
     PlatformState: (lambda: PlatformState(np.zeros(3), np.ones(3)), ("position", "velocity")),
     RewardBreakdown: (lambda: RewardBreakdown(0.5, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, 0.1),
                       ("total", "case_id", "u_attractive", "u_repulsive", "beta_term", "delta_term", "progress")),
-    StepOutcome: (lambda: StepOutcome(np.zeros(15), None, environment.Terminal.NONE, 0.1, None, None, np.zeros(3),
-                                      CALM_FORCE),
-                  ("observation", "reward", "terminal", "t", "drone", "pad", "action", "wind_force")),
+    StepOutcome: (lambda: StepOutcome(None, environment.Terminal.NONE, 0.1, None, None, np.zeros(3), CALM_FORCE),
+                  ("reward", "terminal", "t", "drone", "pad", "action", "wind_force")),
 }
 
 
@@ -495,10 +496,10 @@ def boundary_targets(monkeypatch):
             if owner in modules or getattr(owner, "__module__", None) in {m.__name__ for m in modules}]
 
 
-@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
-def test_baseline_episode_crosses_every_traced_boundary(kind, monkeypatch):
+def count_calls(monkeypatch, targets) -> Counter:
+    """Wrap each (owner, attr) so it counts its calls under (owner.__name__, attr)."""
     calls = Counter()
-    for owner, attr in boundary_targets(monkeypatch):
+    for owner, attr in targets:
         original = owner.__dict__[attr]
 
         def counted(*args, _key=(owner.__name__, attr), _fn=original, **kwargs):
@@ -506,12 +507,18 @@ def test_baseline_episode_crosses_every_traced_boundary(kind, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_baseline_episode_crosses_every_traced_boundary(kind, monkeypatch):
+    calls = count_calls(monkeypatch, boundary_targets(monkeypatch))
     env = LandingEnv(ScenarioSpec(kind), EnvConfig(wind_enabled=True))
     n = len(run_baseline_episode(env, 5).outcomes)
     per_step = {
         ("LandingEnv", "step"): n,
         ("LandingEnv", "reset"): 1,
-        ("padlander.environment", "build_observation"): n + 1,  # also at reset
+        ("padlander.environment", "build_observation"): 1,  # reset only: the loop never reads out.observation
         ("padlander.environment", "apply_setpoint_delta"): n,
         ("padlander.environment", "step_drone_many"): n,
         ("padlander.environment", "platform_at"): n + 1,  # also at reset
@@ -524,3 +531,28 @@ def test_baseline_episode_crosses_every_traced_boundary(kind, monkeypatch):
     }
     assert n > 1
     assert dict(calls) == per_step
+
+
+OBSERVATION_READS = ((LandingEnv, "step"), (LandingEnv, "reset"), (environment, "build_observation"))
+
+
+def test_train_builds_one_observation_per_step_and_reset(monkeypatch):
+    calls = count_calls(monkeypatch, OBSERVATION_READS)
+    hp = td3.Td3Hyperparams(hidden_dims=(4,), batch_size=4, learning_starts=10, total_steps=60, eval_interval=0,
+                            checkpoint_interval=0, buffer_capacity=100)
+    result = td3.train(lambda: LandingEnv(ScenarioSpec(ScenarioKind.SPL), EnvConfig(episode_cap=0.5)), hp,
+                       seed=3)
+    steps, resets = calls[("LandingEnv", "step")], calls[("LandingEnv", "reset")]
+    assert steps == 60 and resets == result.episodes + 1 and result.episodes > 1
+    assert calls[("padlander.environment", "build_observation")] == steps + resets
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_agent_episode_builds_one_observation_per_non_terminal_step(kind, monkeypatch):
+    calls = count_calls(monkeypatch, OBSERVATION_READS)
+    learner = td3.Td3Learner(td3.Td3Hyperparams(hidden_dims=(4,)), seed=2)
+    n = len(td3.run_agent_episode(learner, LandingEnv(ScenarioSpec(kind), EnvConfig(episode_cap=2.0)), 8))
+    assert n > 1
+    # One observation at reset and one on each of the n - 1 non-terminal steps.
+    assert dict(calls) == {("LandingEnv", "step"): n, ("LandingEnv", "reset"): 1,
+                           ("padlander.environment", "build_observation"): n}

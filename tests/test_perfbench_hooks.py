@@ -47,3 +47,19 @@ def test_baseline_traces_call_writes_the_benchmark_trace(tmp_path):
         path = tmp_path / f"{trial.scenario.value}.csv"
         evaluation.write_trace(path, ep.outcomes, ESTIMATOR_COLUMNS, ep.estimator_rows)
         assert path.read_bytes() == (trace_dir / f"{trial.scenario.value}_EkfPid_00.csv").read_bytes()
+
+
+def test_step_outcome_observation_looks_up_build_observation_when_read(monkeypatch):
+    # The traced train run wraps padlander.environment.build_observation; the property must call that name.
+    import numpy as np
+
+    import padlander.environment as environment
+    from padlander.scenario import ScenarioKind, ScenarioSpec
+
+    env = environment.LandingEnv(ScenarioSpec(ScenarioKind.SPL))
+    env.reset(0)
+    out = env.step(np.zeros(3))
+    seen = []
+    monkeypatch.setattr(environment, "build_observation", lambda drone, pad: seen.append((drone, pad)) or "patched")
+    assert out.observation == "patched"
+    assert len(seen) == 1 and seen[0][0] is out.drone and seen[0][1] is out.pad
