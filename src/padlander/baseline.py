@@ -169,8 +169,9 @@ class PidController:
     def __post_init__(self):
         # Each clamp is the interval [-c, c]: c <= 0 pins or inverts it. The env
         # rejects a setpoint delta beyond SETPOINT_DELTA_BOUND, so a wider output clamp
-        # turns the baseline's larger commands into errors.
-        check_settings(self, positive=("integral_clamp", "output_clamp"))
+        # turns the baseline's larger commands into errors. A negative ki or kd pushes
+        # the drone away from the pad.
+        check_settings(self, positive=("integral_clamp", "output_clamp"), non_negative=("ki", "kd"))
         if self.output_clamp > SETPOINT_DELTA_BOUND:
             raise ValueError(f"output_clamp must be at most the actuation bound {SETPOINT_DELTA_BOUND}, "
                              f"got {self.output_clamp}")

@@ -10,8 +10,9 @@ import io
 import math
 import os
 import sys
+from dataclasses import replace
 
-from padlander.config import KEYS, ConfigError, RunConfig, apply_item, dump_config, load_config, read_text
+from padlander.config import KEYS, ConfigError, RunConfig, apply_items, config_items, dump_config, read_text
 from padlander.environment import LandingEnv
 from padlander.evaluation import (TRACE_COLUMNS, Controller, report_text, run_benchmark, write_curve_csv, write_report,
                                   write_surface_csv)
@@ -23,22 +24,18 @@ RUNTIME_ERROR = 1
 
 
 def _load(args) -> RunConfig:
-    """The run's config: --config, then each -o item, then each flag whose dest is a config key.
+    """The run's config: the items of --config, then each -o item, then each flag whose dest is a config key.
 
     Those flags are --seed, and train's --scenario and --total-steps; a flag left out is None and sets nothing.
     """
-    cfg = RunConfig()
-    if args.config:
-        cfg = load_config(args.config, cfg)
+    items = config_items(read_text(args.config, "config file")) if args.config else []
     for item in args.override or []:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
         key, _, value = item.partition("=")
-        cfg = apply_item(cfg, key, value)
-    for key, value in vars(args).items():
-        if key in KEYS and value is not None:
-            cfg = apply_item(cfg, key, str(value))
-    return cfg
+        items.append(("", key, value))
+    items += [("", key, str(value)) for key, value in vars(args).items() if key in KEYS and value is not None]
+    return apply_items(RunConfig(), items)
 
 
 def _run_dir(cfg: RunConfig, label: str) -> str:
@@ -116,6 +113,12 @@ def cmd_benchmark(args) -> int:
     # In each scenario the agent's trials come first, then the baseline's on the same seeds.
     controllers = ([Controller.AGENT] if args.checkpoint else []) + ([Controller.EKF_PID] if args.baseline else [])
     learner = _load_agent(args.checkpoint, cfg.td3) if args.checkpoint else None
+    # run_benchmark swaps in each scenario's kind, and only a CTL spec checks vertical_amplitude.
+    for kind in scenarios:
+        try:
+            replace(cfg.scenario_params, kind=kind)
+        except ValueError as e:
+            raise ConfigError(f"bad value for scenario_params.vertical_amplitude: {e}") from None
 
     outdir = _run_dir(cfg, "benchmark")
     report = run_benchmark(scenarios, controllers, args.trials, learner=learner, cfg=cfg,

@@ -13,7 +13,10 @@ actuation bound is the constant `dynamics.SETPOINT_DELTA_BOUND`, not a key:
 there is no `env.action_scale`. Every field is settable except those
 _NOT_SETTABLE lists with a reason (`scenario_params.seed`, `pid.kp`,
 `td3.hidden_dims`); unknown keys are rejected with the offending key named.
-Sections are frozen: an override builds a new RunConfig. Each run writes
+Sections are frozen: an override builds a new RunConfig. A config text,
+with the command line's overrides after it, is one list of items: each value
+is parsed as it is read, and each record checks its final fields, so a check
+relating two fields does not depend on the order of the items. Each run writes
 its fully resolved configuration next to its outputs so results are
 reproducible from artifacts alone.
 """
@@ -110,27 +113,58 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _set(cfg: RunConfig, section: str, fields: dict) -> RunConfig:
+    """cfg with fields set in section ("" for the top level); the rebuilt record checks itself."""
+    if section:
+        fields = {section: replace(getattr(cfg, section), **fields)}
+    return replace(cfg, **fields)
+
+
+def apply_items(cfg: RunConfig, items) -> RunConfig:
+    """cfg with each (where, key, value) item set in order, a later item of a key winning; unknown keys are errors.
+
+    A record's range checks judge its final fields, so a check relating two
+    fields (physics_hz and control_hz, the spawn band, a CTL pad's amplitude
+    and period) holds whatever order the items set them in. When a record's
+    final fields fail, the error names the first item after which they
+    failed, as setting the items one at a time would. where, e.g. "line 3: ",
+    leads the item's error.
+    """
+    fields, failed = {}, {}
+    for where, key, value in items:
+        key = key.strip()
+        if key in _NOT_SETTABLE:
+            raise ConfigError(f"{where}{key} cannot be set: {_NOT_SETTABLE[key]}")
+        if key not in KEYS:
+            section = key.partition(".")[0]
+            valid = [k for k in KEYS if k.startswith(section + ".")]
+            raise ConfigError(f"{where}unknown configuration key {key!r}"
+                              + (f"; valid {section} keys: {valid}" if valid else ""))
+        section, _, name = key.rpartition(".")
+        try:
+            fields.setdefault(section, {})[name] = _parse_value(value, KEYS[key])
+        except ValueError as e:
+            raise ConfigError(f"{where}bad value for {key}: {e}") from None
+        try:
+            _set(cfg, section, fields[section])
+        except ValueError as e:  # the record's own range check; it stands if the final fields fail too
+            failed.setdefault(section, ConfigError(f"{where}bad value for {key}: {e}"))
+    for section, values in fields.items():
+        try:
+            cfg = _set(cfg, section, values)
+        except ValueError:
+            raise failed[section] from None
+    return cfg
+
+
 def apply_item(cfg: RunConfig, key: str, value: str) -> RunConfig:
     """Apply one `key = value` item; unknown keys are errors."""
-    key = key.strip()
-    if key in _NOT_SETTABLE:
-        raise ConfigError(f"{key} cannot be set: {_NOT_SETTABLE[key]}")
-    if key not in KEYS:
-        section = key.partition(".")[0]
-        valid = [k for k in KEYS if k.startswith(section + ".")]
-        raise ConfigError(f"unknown configuration key {key!r}" + (f"; valid {section} keys: {valid}" if valid else ""))
-    section, _, name = key.rpartition(".")
-    try:
-        parsed = _parse_value(value, KEYS[key])
-        if section:
-            name, parsed = section, replace(getattr(cfg, section), **{name: parsed})
-        return replace(cfg, **{name: parsed})
-    except ValueError as e:  # a malformed value, or the record's own range check
-        raise ConfigError(f"bad value for {key}: {e}") from None
+    return apply_items(cfg, [("", key, value)])
 
 
-def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
-    cfg = base or RunConfig()
+def config_items(text: str) -> list:
+    """The (where, key, value) items of a config text, where naming each item's line."""
+    items = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,11 +172,12 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        try:
-            cfg = apply_item(cfg, key, value)
-        except ConfigError as e:
-            raise ConfigError(f"line {lineno}: {e}") from None
-    return cfg
+        items.append((f"line {lineno}: ", key, value))
+    return items
+
+
+def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
+    return apply_items(base or RunConfig(), config_items(text))
 
 
 def read_text(path: str, what: str) -> str:

@@ -7,6 +7,11 @@ and external forces enter as F/m. Roll/pitch are synthesized from the
 commanded lateral acceleration so observation consumers see plausible
 attitude signals; yaw is held at zero.
 
+A DroneState holds the vehicle's state alone: position, velocity, attitude
+and angular velocity. The command is the step's input: each control step,
+apply_setpoint_delta turns the bounded delta into a setpoint, position +
+delta, and step_drone_many tracks that setpoint for its substeps.
+
 Envelope: |vx|, |vy| <= 3 m/s, |vz| <= 2 m/s after every step.
 
 The integration core runs on python scalars: the environment substeps
@@ -57,19 +62,14 @@ class DroneState(NamedTuple):
     velocity: np.ndarray  # m/s
     attitude: np.ndarray  # rad (roll, pitch, yaw)
     angular_velocity: np.ndarray  # rad/s
-    setpoint: np.ndarray  # m, commanded position
 
     @staticmethod
     def at_rest(position) -> "DroneState":
-        p = _vec3(position)
         z = np.zeros(3)
-        return DroneState(p, z.copy(), z.copy(), z.copy(), p.copy())
+        return DroneState(_vec3(position), z.copy(), z.copy(), z.copy())
 
     def is_finite(self) -> bool:
-        return all(
-            np.all(np.isfinite(v))
-            for v in (self.position, self.velocity, self.attitude, self.angular_velocity, self.setpoint)
-        )
+        return all(np.all(np.isfinite(v)) for v in self)
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,20 @@ class DroneParams:
     gravity: float = 9.81  # m/s^2
 
     def __post_init__(self):
-        # A non-positive a_max clamp reverses the commanded acceleration.
-        check_settings(self, positive=("mass", "tau_v", "a_max"))
+        # A non-positive a_max clamp reverses the commanded acceleration, a non-positive kp_pos
+        # drives the drone away from its setpoint, and a gravity <= 0 tips roll and pitch to +-pi/2 or past.
+        check_settings(self, positive=("mass", "kp_pos", "tau_v", "a_max", "gravity"))
 
 
 def step_drone_many(
     state: DroneState,
+    setpoint: np.ndarray,
     params: DroneParams,
     external_force: np.ndarray,
     dt: float,
     n_substeps: int = 1,
 ) -> DroneState:
-    """Advance the drone n substeps of dt each (semi-implicit Euler).
+    """Advance the drone n substeps of dt each toward setpoint (semi-implicit Euler).
 
     Per substep: velocity is updated first, clamped to the envelope, then
     position integrates the new velocity. Roll/pitch come from the commanded
@@ -103,12 +105,12 @@ def step_drone_many(
         raise ValueError(f"dt must be positive, got {dt}")
     if n_substeps < 1:
         raise ValueError(f"n_substeps must be >= 1, got {n_substeps}")
-    force = _vec3(external_force)
+    sp, force = _vec3(setpoint), _vec3(external_force)
 
     px, py, pz = state.position.tolist()
     vx, vy, vz = state.velocity.tolist()
     roll, pitch, _ = state.attitude.tolist()
-    spx, spy, spz = state.setpoint.tolist()
+    spx, spy, spz = sp.tolist()
     ex, ey, ez = VEL_ENVELOPE
     fx, fy, fz = force.tolist()
     mass = params.mass
@@ -118,6 +120,8 @@ def step_drone_many(
     if not math.isfinite(probe) or not math.isfinite(fax + fay + faz):
         if not state.is_finite():
             raise StateCorruptionError("non-finite drone state")
+        if not np.isfinite(sp).all():
+            raise StateCorruptionError(f"non-finite setpoint {sp}")
         raise StateCorruptionError("non-finite external force")
     kp, inv_tau, a_max, g = params.kp_pos, 1.0 / params.tau_v, params.a_max, params.gravity
     nex, ney, nez = -ex, -ey, -ez
@@ -169,12 +173,11 @@ def step_drone_many(
         np.array([vx, vy, vz]),
         np.array([roll, pitch, 0.0]),
         np.array([(roll - prev_roll) / dt, (pitch - prev_pitch) / dt, 0.0]),
-        state.setpoint.copy(),
     )
 
 
-def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> DroneState:
-    """Re-anchor the setpoint at position + delta (the agent's actuation channel).
+def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> np.ndarray:
+    """The setpoint state.position + delta, a fresh array (the agent's actuation channel).
 
     delta must already be scaled: |component| <= 0.1 m. Anything larger means
     an unscaled action leaked through and is rejected.
@@ -188,4 +191,4 @@ def apply_setpoint_delta(state: DroneState, delta: np.ndarray) -> DroneState:
         raise ActionBoundError(
             f"setpoint delta {d} exceeds per-axis bound {SETPOINT_DELTA_BOUND} m"
         )
-    return DroneState(state.position, state.velocity, state.attitude, state.angular_velocity, state.position + d)
+    return state.position + d

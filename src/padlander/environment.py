@@ -15,7 +15,7 @@ it, never pays for it.
 
 build_observation's finiteness check thus runs only where the observation
 is read, but every step's state is still checked. On entry, step_drone_many's
-probe rejects a non-finite drone state or wind force with
+probe rejects a non-finite drone state, setpoint or wind force with
 StateCorruptionError. After the step, compute_reward rejects a non-finite
 relative position or velocity with ValueError. Attitude and angular
 velocity come from finite inputs through atan2 and a division by dt > 0,
@@ -232,8 +232,8 @@ class LandingEnv:
 
         cfg = self.cfg
         wind_force = sample_wind_step(self._windy, self._wind_rng, cfg.wind_p_step, cfg.wind_bound)
-        drone = apply_setpoint_delta(self.drone, SETPOINT_DELTA_BOUND * a)
-        drone = step_drone_many(drone, self.drone_params, wind_force, self._physics_dt, self._substeps)
+        setpoint = apply_setpoint_delta(self.drone, SETPOINT_DELTA_BOUND * a)
+        drone = step_drone_many(self.drone, setpoint, self.drone_params, wind_force, self._physics_dt, self._substeps)
 
         self._step_count += 1
         t = self._step_count * self.control_dt

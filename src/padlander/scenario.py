@@ -8,7 +8,10 @@ Four benchmark scenarios:
   CTL   CMPL motion plus a vertical sinusoid
 
 Platform positions are exact time integrals of the reported velocities and
-pure functions of (spec, t). Wind is a two-level Bernoulli process: one draw
+pure functions of (spec, t). No component of a valid spec's velocity passes
+PLATFORM_SPEED_LIMIT, so platform_at's clamp never changes one: a speed
+above the limit is refused, and so is a CTL spec whose vertical sinusoid
+would move faster. Wind is a two-level Bernoulli process: one draw
 decides whether an episode is windy at all, then each step of a windy episode
 draws whether a force is applied, with components uniform in +-bound N.
 """
@@ -60,6 +63,12 @@ class ScenarioSpec:
         check_settings(self, positive=("direction_change_period", "curve_radius"))
         if not 0.0 <= self.speed <= PLATFORM_SPEED_LIMIT:
             raise ValueError(f"platform speed must be in [0, {PLATFORM_SPEED_LIMIT}], got {self.speed}")
+        # CTL's vertical speed peaks at |vertical_amplitude| * pi / direction_change_period; past the
+        # limit, platform_at's clamp would report a velocity that is not its position's derivative.
+        peak = abs(self.vertical_amplitude) * math.pi / self.direction_change_period
+        if self.kind is ScenarioKind.CTL and peak > PLATFORM_SPEED_LIMIT:
+            raise ValueError(f"CTL's peak vertical speed |vertical_amplitude| * pi / direction_change_period "
+                             f"must be at most {PLATFORM_SPEED_LIMIT} m/s, got {peak}")
 
 
 # The force of every calm step: one shared, read-only zero vector.

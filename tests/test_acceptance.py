@@ -267,7 +267,7 @@ def test_criterion_9_environment_contracts():
     for _ in range(100_000):
         drone = DroneState(
             rng.uniform(-5, 5, 3), rng.uniform(-4, 4, 3), rng.uniform(-4, 4, 3),
-            rng.uniform(-20, 20, 3), rng.uniform(-5, 5, 3),
+            rng.uniform(-20, 20, 3),
         )
         moving = PlatformState(rng.uniform(-5, 5, 3), rng.uniform(-0.5, 0.5, 3))
         obs = build_observation(drone, moving if rng.integers(2) else pad)

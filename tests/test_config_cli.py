@@ -18,8 +18,9 @@ from padlander.config import (
     load_config,
     parse_config_text,
 )
+from padlander.environment import EnvConfig
 from padlander.evaluation import TRACE_COLUMNS
-from padlander.scenario import ScenarioKind
+from padlander.scenario import ScenarioKind, ScenarioSpec
 from padlander.td3 import ACTION_DIM, OBS_DIM, Td3Hyperparams, Td3Learner, save_checkpoint
 
 DEFAULT_DUMP = """\
@@ -240,9 +241,9 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("value", [7.1234567891234, 0.00012345678912, 0.1 + 0.2, 1e-310, 5e-324, -0.0, 1e300])
     def test_float_that_9g_rounds_parses_back_exactly(self, value):
-        again = parse_config_text(dump_config(_with(RunConfig(), "drone.gravity", value)))
-        assert again.drone.gravity == value
-        assert math.copysign(1.0, again.drone.gravity) == math.copysign(1.0, value)
+        again = parse_config_text(dump_config(_with(RunConfig(), "scenario_params.initial_heading", value)))
+        assert again.scenario_params.initial_heading == value
+        assert math.copysign(1.0, again.scenario_params.initial_heading) == math.copysign(1.0, value)
 
     def test_every_section_is_frozen(self):
         cfg = RunConfig()
@@ -259,6 +260,27 @@ class TestConfigParsing:
         cfg = apply_item(base, "pid.kd", "0.7")
         assert cfg.pid.kd == 0.7
         assert base.pid.kd == 0.3
+
+    @pytest.mark.parametrize("section, record", [
+        ("env", EnvConfig(control_hz=7, physics_hz=14)),
+        ("env", EnvConfig(spawn_alt_min=2.0, spawn_alt_max=3.0, spawn_radius=4.0)),
+        ("scenario_params", ScenarioSpec(ScenarioKind.CTL, direction_change_period=0.5, vertical_amplitude=0.05)),
+    ], ids=["hz", "spawn-band", "ctl-short-period"])
+    def test_fields_that_are_checked_together_parse_back_in_any_order(self, section, record):
+        # One field at a time, in dump order, each of these passes through a record its check refuses.
+        cfg = replace(RunConfig(), **{section: record})
+        assert parse_config_text(dump_config(cfg)) == cfg
+        lines = [line for line in dump_config(cfg).splitlines() if line.startswith(section + ".")]
+        assert parse_config_text("\n".join(reversed(lines))) == cfg
+
+    def test_a_record_whose_final_fields_fail_names_the_first_item_they_failed_at(self):
+        text = "env.control_hz = 60\nenv.physics_hz = 250\nseed = 2\nenv.episode_cap = 5\n"
+        with pytest.raises(ConfigError, match=r"^line 2: bad value for env\.physics_hz: physics_hz must be an integer "
+                                              r"multiple of control_hz$"):
+            parse_config_text(text)
+        # A later item that mends the record clears the error.
+        assert parse_config_text(text + "env.physics_hz = 240\n").env.physics_hz == 240
+        assert parse_config_text("drone.mass = nan\ndrone.mass = 1\n").drone.mass == 1.0
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -468,6 +490,35 @@ class TestCliExitCodes:
         assert main(argv + ["-o", f"outdir={tmp_path / 'runs'}"]) == 2
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # Each of these used to run and report a plausible-looking result.
+    @pytest.mark.parametrize("scenario, item, message", [
+        ("SPL", "drone.kp_pos=-1", "kp_pos must be positive, got -1.0"),
+        ("SPL", "drone.gravity=0", "gravity must be positive, got 0.0"),
+        ("SPL", "pid.ki=-1", "ki must be non-negative, got -1.0"),
+        ("SPL", "pid.kd=-5", "kd must be non-negative, got -5.0"),
+        ("CTL", "scenario_params.vertical_amplitude=0.5", "CTL's peak vertical speed |vertical_amplitude| * pi / "
+         "direction_change_period must be at most 0.46 m/s, got 0.5235987755982988"),
+        ("ALL", "scenario_params.vertical_amplitude=0.5", "CTL's peak vertical speed |vertical_amplitude| * pi / "
+         "direction_change_period must be at most 0.46 m/s, got 0.5235987755982988"),
+    ], ids=["kp_pos", "gravity", "ki", "kd", "CTL-amplitude", "ALL-amplitude"])
+    def test_setting_outside_its_range_is_usage_error_before_any_output(self, tmp_path, capsys, scenario, item,
+                                                                        message):
+        rc = main(["benchmark", "--baseline", "--scenario", scenario, "--trials", "3",
+                   "-o", f"outdir={tmp_path / 'runs'}", "-o", item])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad value for {item.partition('=')[0]}: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ctl_amplitude_is_checked_only_where_a_ctl_pad_runs(self, tmp_path, capsys):
+        assert main(["benchmark", "--baseline", "--scenario", "SPL", "--trials", "1",
+                     "-o", f"outdir={tmp_path}", "-o", "scenario_params.vertical_amplitude=0.5"]) == 0
+        assert main(["config-dump", "-o", "scenario_params.vertical_amplitude=5"]) == 0
+        capsys.readouterr()
+        assert main(["config-dump", "-o", "scenario_params.kind=CTL", "-o", "scenario_params.vertical_amplitude=5"]) == 2
+        assert "bad value for scenario_params.vertical_amplitude: CTL's peak vertical speed" in capsys.readouterr().err
 
     def test_rerun_into_a_used_run_directory_is_usage_error_before_any_output(self, tmp_path, capsys):
         # A second run would leave the first one's traces beside its own trials.csv.

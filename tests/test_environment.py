@@ -31,7 +31,7 @@ class TestObservation:
 
     def test_clip_then_scale(self):
         drone = DroneState(
-            np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3)
+            np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3), np.zeros(3)
         )
         pad = PlatformState(np.zeros(3), np.zeros(3))
         obs = build_observation(drone, pad)
@@ -45,7 +45,7 @@ class TestObservation:
 
     def test_attitude_normalization(self):
         drone = DroneState(
-            np.zeros(3), np.zeros(3), np.array([np.pi / 2, 0.0, 0.0]), np.zeros(3), np.zeros(3)
+            np.zeros(3), np.zeros(3), np.array([np.pi / 2, 0.0, 0.0]), np.zeros(3)
         )
         pad = PlatformState(np.zeros(3), np.zeros(3))
         assert build_observation(drone, pad)[0] == pytest.approx(0.5)
@@ -55,7 +55,7 @@ class TestObservation:
         for _ in range(5000):
             drone = DroneState(
                 rng.uniform(-10, 10, 3), rng.uniform(-10, 10, 3),
-                rng.uniform(-4, 4, 3), rng.uniform(-30, 30, 3), rng.uniform(-10, 10, 3),
+                rng.uniform(-4, 4, 3), rng.uniform(-30, 30, 3),
             )
             pad = PlatformState(rng.uniform(-10, 10, 3), rng.uniform(-0.46, 0.46, 3))
             obs = build_observation(drone, pad)
@@ -273,7 +273,7 @@ class TestTrace:
             outs.append(env.step(rng.uniform(-1, 1, 3)))
         # values a rollout rarely shows: signed zeros, non-finite, subnormal, huge
         odd = np.array([-0.0, np.nan, np.inf])
-        drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3), np.zeros(3))
+        drone = DroneState(odd, -odd, np.array([5e-324, 1e300, -1e-7]), np.zeros(3))
         outs.append(outs[0]._replace(terminal=Terminal.CRASH, t=1.0 / 3.0, drone=drone,
                                      action=np.array([1.0, -1.0, -0.0])))
         write_trace(tmp_path / "trace.csv", outs)

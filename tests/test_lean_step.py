@@ -14,6 +14,7 @@ import importlib
 import math
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -147,9 +148,8 @@ def old_wind_force(windy, p_step, bound, rng):
 
 
 def drone_at(position, velocity=(0.0, 0.0, 0.0), attitude=(0.0, 0.0, 0.0), angular=(0.0, 0.0, 0.0)):
-    p = np.array(position, dtype=float)
-    return DroneState(p, np.array(velocity, dtype=float), np.array(attitude, dtype=float),
-                      np.array(angular, dtype=float), p.copy())
+    return DroneState(np.array(position, dtype=float), np.array(velocity, dtype=float),
+                      np.array(attitude, dtype=float), np.array(angular, dtype=float))
 
 
 # -- PID and pursuit --------------------------------------------------------
@@ -178,7 +178,9 @@ class TestPid:
 
     @pytest.mark.parametrize("error", [[a, b, c] for a, b, c in zip(SIGNED, SIGNED[3:] + SIGNED[:3], SIGNED[7:] + SIGNED[:7])])
     def test_signed_zeros_nan_and_inf_match_numpy(self, error):
-        for kd in (0.3, -0.3, 0.0):
+        with pytest.raises(ValueError, match=r"^kd must be non-negative, got -0\.3$"):
+            PidController(kd=-0.3)
+        for kd in (0.3, 0.0):
             pid = PidController(kd=kd)
             state, ref = PidState(), PidState()
             for e in (error, error[::-1], [0.0, -0.0, 0.0]):
@@ -207,14 +209,16 @@ class TestPid:
         error=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3),
         integral=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
         prev=st.one_of(st.none(), st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=3, max_size=3)),
-        gains=st.lists(st.floats(-10.0, 10.0), min_size=5, max_size=5),
+        kp=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3),
+        ki=st.floats(0.0, 10.0),
+        kd=st.floats(0.0, 10.0),
         integral_clamp=st.floats(1e-300, 1e300),
         output_clamp=st.floats(1e-300, SETPOINT_DELTA_BOUND),
         dt=st.floats(1e-3, 1.0),
     )
-    def test_float_clamps_match_numpy_property(self, error, integral, prev, gains, integral_clamp, output_clamp, dt):
-        pid = PidController(kp=np.array(gains[:3]), ki=gains[3], kd=gains[4],
-                            integral_clamp=integral_clamp, output_clamp=output_clamp)
+    def test_float_clamps_match_numpy_property(self, error, integral, prev, kp, ki, kd, integral_clamp, output_clamp,
+                                               dt):
+        pid = PidController(kp=np.array(kp), ki=ki, kd=kd, integral_clamp=integral_clamp, output_clamp=output_clamp)
         prev = None if prev is None else np.array(prev)
         state = PidState(np.array(integral), prev)
         ref = PidState(np.array(integral), None if prev is None else prev.copy())
@@ -287,6 +291,18 @@ def _spec_with_nan_amplitude():
     return spec
 
 
+def _steep_ctl_spec():
+    """A CTL spec whose vertical speed peaks at 1.0 * pi / 0.7 = 4.5 m/s, past PLATFORM_SPEED_LIMIT.
+
+    ScenarioSpec rejects it when it is built, so the fields are set after
+    construction: platform_at's velocity clamp must still bite as its reference does.
+    """
+    spec = ScenarioSpec(ScenarioKind.CTL)
+    object.__setattr__(spec, "vertical_amplitude", 1.0)
+    object.__setattr__(spec, "direction_change_period", 0.7)
+    return spec
+
+
 PLATFORM_SPECS = [
     ScenarioSpec(ScenarioKind.SPL),
     ScenarioSpec(ScenarioKind.LMPL, seed=3, initial_heading=0.0),
@@ -296,7 +312,7 @@ PLATFORM_SPECS = [
     ScenarioSpec(ScenarioKind.CMPL, speed=0.46, curve_radius=0.3, direction_change_period=0.7),
     ScenarioSpec(ScenarioKind.CMPL, speed=0.0),
     ScenarioSpec(ScenarioKind.CTL),
-    ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=1.0, direction_change_period=0.7),  # the clamp bites
+    _steep_ctl_spec(),  # the clamp bites
     ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=0.0, speed=0.2),
     _spec_with_nan_amplitude(),  # NaN passes the velocity clamp
 ]
@@ -326,8 +342,7 @@ class TestPlatformAt:
     def test_velocity_clamp_ties_and_bites(self):
         tie = platform_at(ScenarioSpec(ScenarioKind.LMPL, speed=PLATFORM_SPEED_LIMIT), 0.5)
         assert tie.velocity[0] == PLATFORM_SPEED_LIMIT
-        steep = ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=1.0, direction_change_period=0.7)
-        assert platform_at(steep, 0.0).velocity[2] == PLATFORM_SPEED_LIMIT
+        assert platform_at(_steep_ctl_spec(), 0.0).velocity[2] == PLATFORM_SPEED_LIMIT
 
     def test_hands_out_fresh_writable_arrays(self):
         for spec in PLATFORM_SPECS[:5]:
@@ -342,7 +357,7 @@ class TestObservation:
         rng = np.random.default_rng(43)
         for _ in range(500):
             v = rng.normal(size=(5, 3)) * rng.choice([0.1, 1.0, 20.0], size=(5, 1))
-            drone = DroneState(v[0], v[1], v[2], v[3], v[0].copy())
+            drone = DroneState(v[0], v[1], v[2], v[3])
             pad = PlatformState(v[4], rng.uniform(-0.46, 0.46, 3))
             assert same(build_observation(drone, pad), old_build_observation(drone, pad))
 
@@ -399,10 +414,13 @@ class TestAction:
             with pytest.raises(ActionRangeError, match="outside"):
                 env.step(np.array(action))
             return
-        out = env.step(np.array(action))
+        with mock.patch.object(environment, "step_drone_many", wraps=environment.step_drone_many) as step:
+            out = env.step(np.array(action))
         assert same(out.action, want)
-        # the setpoint moved by SETPOINT_DELTA_BOUND * the clamped action
-        assert same(out.drone.setpoint, before.position + SETPOINT_DELTA_BOUND * want)
+        # the setpoint step_drone_many tracked moved by SETPOINT_DELTA_BOUND * the clamped action
+        (drone, setpoint, *_), _ = step.call_args
+        assert drone is before
+        assert same(setpoint, before.position + SETPOINT_DELTA_BOUND * want)
 
     @pytest.mark.parametrize("action", ACTIONS, ids=str)
     def test_check_and_clamp_match_numpy(self, action):
@@ -453,7 +471,7 @@ class TestWind:
 
 RECORDS = {
     DroneState: (lambda: drone_at([1.0, 2.0, 3.0]),
-                 ("position", "velocity", "attitude", "angular_velocity", "setpoint")),
+                 ("position", "velocity", "attitude", "angular_velocity")),
     PlatformState: (lambda: PlatformState(np.zeros(3), np.ones(3)), ("position", "velocity")),
     RewardBreakdown: (lambda: RewardBreakdown(0.5, RewardCase.MID, 0.0, 0.0, 0.0, 0.0, 0.1),
                       ("total", "case_id", "u_attractive", "u_repulsive", "beta_term", "delta_term", "progress")),

@@ -208,6 +208,30 @@ class TestPlatform:
         with pytest.raises(ValueError):
             ScenarioSpec(ScenarioKind.LMPL, speed=0.5)
 
+    @pytest.mark.parametrize("amplitude, period", [(0.5, 3.0), (-0.5, 3.0), (0.2, 1.0), (1.0, 0.7)])
+    def test_ctl_spec_faster_than_the_limit_rejected(self, amplitude, period):
+        with pytest.raises(ValueError, match=r"^CTL's peak vertical speed \|vertical_amplitude\| \* pi / "
+                                             r"direction_change_period must be at most 0\.46 m/s, got "):
+            ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=amplitude, direction_change_period=period)
+        # The amplitude moves only a CTL pad.
+        ScenarioSpec(ScenarioKind.CMPL, vertical_amplitude=amplitude, direction_change_period=period)
+
+    def test_ctl_vertical_velocity_is_the_derivative_of_position(self):
+        period = 3.0
+        top = PLATFORM_SPEED_LIMIT * period / math.pi  # the largest amplitude the check admits, to the ulp
+        while top * math.pi / period > PLATFORM_SPEED_LIMIT:
+            top = math.nextafter(top, 0.0)
+        while math.nextafter(top, 1.0) * math.pi / period <= PLATFORM_SPEED_LIMIT:
+            top = math.nextafter(top, 1.0)
+        with pytest.raises(ValueError, match="CTL's peak vertical speed"):
+            ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=math.nextafter(top, 1.0))
+        h = 1e-6
+        for amplitude in (top, -top, 0.2):
+            spec = ScenarioSpec(ScenarioKind.CTL, vertical_amplitude=amplitude)
+            for t in (0.3, 1.0, 1.5, 3.0, 4.5, 6.0):
+                dz = (platform_at(spec, t + h).position[2] - platform_at(spec, t - h).position[2]) / (2 * h)
+                assert platform_at(spec, t).velocity[2] == pytest.approx(dz, abs=1e-8), (amplitude, t)
+
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             platform_at(ScenarioSpec(ScenarioKind.SPL), -0.1)

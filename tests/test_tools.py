@@ -23,18 +23,16 @@ def run_tool(*argv):
     return proc.stdout.splitlines()
 
 
-def test_loc_counts_every_module_and_both_totals():
+def test_loc_counts_every_module_and_the_three_totals():
     lines = run_tool("loc.py")
-    modules = sorted(path.name for path in (ROOT / "src" / "padlander").glob("*.py"))
-    tests = sorted(path.name for path in (ROOT / "tests").glob("*.py"))
-    src_lines, src_total = lines[:len(modules)], lines[len(modules)]
-    test_lines, tests_total = lines[len(modules) + 1:-1], lines[-1]
-    assert [line.split()[1] for line in src_lines] == modules
-    assert [line.split()[1] for line in test_lines] == tests
-    assert re.fullmatch(r" *\d+  total", src_total)
-    assert re.fullmatch(r" *\d+  tests total", tests_total)
-    assert int(src_total.split()[0]) == sum(int(line.split()[0]) for line in src_lines)
-    assert int(tests_total.split()[0]) == sum(int(line.split()[0]) for line in test_lines)
+    for tree, label in ((ROOT / "src" / "padlander", "total"), (ROOT / "tests", "tests total"),
+                        (ROOT / "tools", "tools total")):
+        names = sorted(path.name for path in tree.glob("*.py"))
+        rows, total, lines = lines[:len(names)], lines[len(names)], lines[len(names) + 1:]
+        assert [line.split()[1] for line in rows] == names
+        assert re.fullmatch(rf" *\d+  {label}", total)
+        assert int(total.split()[0]) == sum(int(line.split()[0]) for line in rows)
+    assert lines == []
 
 
 # git's empty tree: a revision at which no file exists, in any repository.
@@ -55,9 +53,12 @@ def test_loc_compares_a_revision_with_the_working_tree(rev):
         assert tree == int(now.get(name, 0))
         assert delta == tree - then
         assert then == 0 or rev != EMPTY_TREE
-    src_end = [name for *_, name in rows].index("total")
-    for part in (rows[:src_end + 1], rows[src_end + 1:]):
+    names = [name for *_, name in rows]
+    src_end, tests_end = names.index("total"), names.index("tests total")
+    assert names[-1] == "tools total"
+    for part in (rows[:src_end + 1], rows[src_end + 1:tests_end + 1], rows[tests_end + 1:]):
         assert part[-1][0] == sum(then for then, *_ in part[:-1])
+        assert part[-1][1] == sum(tree for _, tree, *_ in part[:-1])
 
 
 def test_loc_counts_a_file_missing_from_the_working_tree_as_zero(monkeypatch, capsys):
@@ -67,7 +68,7 @@ def test_loc_counts_a_file_missing_from_the_working_tree_as_zero(monkeypatch, ca
     monkeypatch.setattr(sys, "argv", ["loc.py", "REV"])
     loc.main()
     lines = capsys.readouterr().out.splitlines()
-    assert lines.count("     5     0     -5  gone.py") == 2
+    assert lines.count("     5     0     -5  gone.py") == 3
 
 
 def test_update_timing_reports_both_update_kinds_and_a_digest():

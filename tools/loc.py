@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each src/padlander module and their total, then of each tests/ file and theirs.
+"""Count the code lines of each src/padlander module and their total, then of each tests/ and tools/ file and theirs.
 
     python3 tools/loc.py          # counts in the working tree
     python3 tools/loc.py REV      # counts at git revision REV, in the working tree, and the difference
@@ -19,6 +19,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "padlander"
 TESTS = ROOT / "tests"
+TOOLS = ROOT / "tools"
 
 
 def docstring_lines(tree: ast.Module) -> set:
@@ -64,7 +65,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", nargs="?", help="git revision to compare the working tree with")
     rev = parser.parse_args().rev
-    for tree, label in ((SRC, "total"), (TESTS, "tests total")):
+    for tree, label in ((SRC, "total"), (TESTS, "tests total"), (TOOLS, "tools total")):
         now = {path.name: code_lines(path.read_text()) for path in tree.glob("*.py")}
         then = counts_at(rev, tree) if rev else {}
         rows = {name: (then.get(name, 0), now.get(name, 0)) if rev else (now[name],)
